@@ -14,7 +14,9 @@ internals are 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -592,7 +594,10 @@ def _add_fan_inputs(sub, sequence_ok: bool = False) -> None:
         sub.add_argument("--sequence", help="comma-separated surface sequence")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and shared: building takes milliseconds, more
+    # than a small analysis, and parse_args does not change the parser.
     parser = argparse.ArgumentParser(
         prog="toricroots",
         description="Demazure roots and unipotent automorphism structure "
@@ -637,9 +642,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = ("--ray-matrix", "--rays", "--sequence")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--rays -1,0;...`` as ``--rays=-1,0;...``: argparse would
+    take a value starting with ``-`` and a digit for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -29,12 +29,11 @@ library; the CLI serializers shift them to 1-based for reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InvariantViolation, NotCanonicalError
+from .errors import CapExceededError, InvariantViolation, NotCanonicalError
 from .fan import RayMatrix
 from .lattice import IntVector
 
@@ -42,6 +41,9 @@ KIND_BASIC = "basic"
 KIND_ELEMENTARY = "elementary"
 KIND_SPECIAL = "special"
 KIND_DETACHED = "detached"
+
+#: Cap on the number of Demazure roots of one ray matrix.
+MAX_ROOTS = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -99,21 +101,13 @@ class RootSystem:
             self.__dict__["_index_cache"] = cached
         return cached
 
-    @property
-    def semisimple_roots(self) -> tuple[DemazureRoot, ...]:
-        return tuple(r for r in self.roots if r.semisimple)
-
-    @property
-    def unipotent_roots(self) -> tuple[DemazureRoot, ...]:
-        return tuple(r for r in self.roots if not r.semisimple)
-
 
 def root_ray(A: RayMatrix, coords: IntVector) -> Optional[int]:
     """Ray index when ``coords`` is a Demazure root of ``A``, else ``None``.
 
     This is the literal definition (one pairing equal to -1, the rest
     non-negative) checked against all m rays, so it is independent of the
-    box enumeration below and doubles as its soundness oracle.
+    root search below and doubles as its soundness oracle.
     """
     ray = None
     for l, value in enumerate(A.pairings(tuple(coords))):
@@ -126,39 +120,70 @@ def root_ray(A: RayMatrix, coords: IntVector) -> Optional[int]:
     return ray
 
 
+def _search_basis_ray(cols: tuple[IntVector, ...], i: int, found: list) -> None:
+    """Append ``(i, e)`` to ``found`` for every root ``e`` on basis ray ``i``.
+
+    Depth first over ``b_j`` (``j != i``, increasing), carrying the row
+    residuals ``r_k = a_{ki} - sum_j b_j a_{kj}``; ``b_j`` runs up to
+    ``min_k r_k // a_{kj}`` over the rows with ``a_{kj} > 0``.  Since ``b = 0``
+    on the remaining coordinates keeps every residual non-negative, each node
+    leads to a root and the work is O(roots * n * rows).  Raises
+    ``CapExceededError`` before ``found`` would exceed ``MAX_ROOTS``.
+    """
+    others = [j for j in range(len(cols)) if j != i]
+    e = [0] * len(cols)
+    e[i] = -1
+    if not others:
+        found.append((i, tuple(e)))
+        return
+
+    def descend(depth: int, residual: list[int]) -> None:
+        j = others[depth]
+        col = cols[j]
+        top = min(r // a for r, a in zip(residual, col) if a)
+        if depth < len(others) - 1:
+            for b in range(top + 1):
+                e[j] = b
+                descend(depth + 1, residual)
+                residual = [r - a for r, a in zip(residual, col)]
+        else:
+            # the last coordinate gives top + 1 roots at once: check the cap
+            # before building them, so a huge polytope fails fast
+            if len(found) + top >= MAX_ROOTS:
+                raise CapExceededError(
+                    f"root cap exceeded: the ray matrix has more than "
+                    f"{MAX_ROOTS} Demazure roots (MAX_ROOTS)"
+                )
+            for b in range(top + 1):
+                e[j] = b
+                found.append((i, tuple(e)))
+        e[j] = 0
+
+    descend(0, list(cols[i]))
+
+
 @lru_cache(maxsize=256)
 def demazure_roots(A: RayMatrix) -> RootSystem:
     """Enumerate every Demazure root of ``A``.
 
-    Roots on basis ray ``i`` are found by scanning the box
-    ``0 <= b_j <= max_k a_{ki}``: the bound is valid because ``-A e >= 0``
-    forces ``b_j * a_{kj} <= a_{ki}`` for every row ``k``, and each column has
-    a positive entry.  Detached roots come from the unit-column test.
+    Roots on basis ray ``i`` are ``-q_i + sum_j b_j q_j`` for the lattice
+    points ``b >= 0`` of the knapsack polytope ``{A' b <= a_i}`` (``A'`` is
+    ``A`` without column ``i``), found by the residual-pruned depth-first
+    search of ``_search_basis_ray``: its cost grows with the roots found, not
+    with the column entries.  Detached roots come from the unit-column test.
+    More than ``MAX_ROOTS`` roots raise ``CapExceededError``.
     """
     n, m = A.n, A.m
     cols = A.columns
     found: list[tuple[int, IntVector]] = []
-    for i in range(n):
-        bound = max(cols[i])
-        others = [j for j in range(n) if j != i]
-        for bs in itertools.product(range(bound + 1), repeat=n - 1):
-            e = [0] * n
-            e[i] = -1
-            for j, b in zip(others, bs):
-                e[j] = b
-            residual_ok = True
-            for row in A.rows:
-                if -sum(a * x for a, x in zip(row, e)) < 0:
-                    residual_ok = False
-                    break
-            if residual_ok:
-                found.append((i, tuple(e)))
     for i in range(n):
         col = cols[i]
         if sum(col) == 1 and max(col) == 1:
             k = col.index(1)
             e = tuple(1 if j == i else 0 for j in range(n))
             found.append((n + k, e))
+    for i in range(n):
+        _search_basis_ray(cols, i, found)
 
     coords_set = {e for _, e in found}
     roots = []
@@ -204,12 +229,6 @@ class ColumnPreorder:
 
     def comparable(self, i: int, j: int) -> bool:
         return self.geq[i][j] or self.geq[j][i]
-
-    def class_of(self, i: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if i in cls:
-                return cls
-        raise IndexError(i)
 
     @property
     def segments_ok(self) -> bool:
@@ -310,14 +329,6 @@ def is_positive_form(coords: IntVector, ray: int) -> bool:
         and all(c == 0 for c in coords[:ray])
         and all(c >= 0 for c in coords[ray + 1:])
     )
-
-
-def positive_root_ray(A: RayMatrix, coords: IntVector) -> Optional[int]:
-    """Ray index when ``coords`` is a positive root of canonical ``A``."""
-    ray = root_ray(A, coords)
-    if ray is None or ray >= A.n or not is_positive_form(coords, ray):
-        return None
-    return ray
 
 
 @lru_cache(maxsize=256)

@@ -43,6 +43,28 @@ def box_scan_roots(A):
     return found
 
 
+def orthant_box_roots(A):
+    """Roots on the basis rays by scanning a box of the positive orthant.
+
+    A root on basis ray ``i`` is ``e = -q_i + sum_j b_j q_j`` with ``b >= 0``
+    and ``-A e >= 0``; that forces ``b_j * a_{kj} <= a_{ki}`` in every row,
+    and every column has a positive entry, so ``b_j <= max_k a_{ki}``.  The
+    cost grows with that box, not with the roots found.
+    """
+    cols = A.columns
+    found = set()
+    for i in range(A.n):
+        others = [j for j in range(A.n) if j != i]
+        for bs in itertools.product(range(max(cols[i]) + 1), repeat=A.n - 1):
+            e = [0] * A.n
+            e[i] = -1
+            for j, b in zip(others, bs):
+                e[j] = b
+            if all(sum(a * x for a, x in zip(row, e)) <= 0 for row in A.rows):
+                found.add((i, tuple(e)))
+    return found
+
+
 def brute_force_open_orbit_rootsets(A):
     """All subsets of the positive roots that contain the basic roots and
     satisfy the pairwise saturation condition, as frozensets of coordinates.

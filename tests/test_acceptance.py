@@ -250,3 +250,10 @@ def test_criterion_11_property_suite():
         for A in matrices:
             battery.run_property_suite(A)
     report(11, t, f"property battery over {len(matrices)} matrices")
+
+
+def test_criterion_12_root_search_is_output_sensitive():
+    with Timer(1.0) as t:
+        system = demazure_roots(validate_ray_matrix([[12, 8, 6, 4, 3, 2, 1]], 7))
+        assert len(system.roots) == 301
+    report(12, t, "301 roots of the (1,2,3,4,6,8,12) weighted space")

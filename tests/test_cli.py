@@ -205,3 +205,27 @@ def test_output_is_deterministic(capsys):
     code1, table1, _ = run(capsys, "roots", "--ray-matrix", "3 2 1", "--format", "table")
     code2, table2, _ = run(capsys, "roots", "--ray-matrix", "3 2 1", "--format", "table")
     assert table1 == table2
+
+
+def test_negative_values_in_space_separated_form(capsys):
+    cases = [
+        ("surface", "--sequence", "-1,-1,-1"),
+        ("bilateral", "--rays", "-1,-1;1,0;0,1"),
+        ("roots", "--rays", "-1,-1;1,0;0,1"),
+        ("roots", "--ray-matrix", "-1 2"),
+    ]
+    for cmd, flag, value in cases:
+        spaced = run(capsys, cmd, flag, value)
+        joined = run(capsys, cmd, f"{flag}={value}")
+        assert spaced == joined, (cmd, flag)
+    assert run(capsys, "surface", "--sequence", "-1,-1,-1")[0] == 0
+    assert run(capsys, "roots", "--ray-matrix", "-1 2")[0] == 2
+
+
+def test_root_cap_exits_one_without_traceback(capsys):
+    code, out, err = run(capsys, "roots", "--ray-matrix", "99999999999 1 1")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: root cap exceeded: the ray matrix has more than "
+        "1000000 Demazure roots (MAX_ROOTS)\n"
+    )

@@ -1,6 +1,11 @@
+import math
+import random
+
 import pytest
 
 from toricroots import (
+    CapExceededError,
+    InputError,
     NotCanonicalError,
     canonical_reorder,
     column_preorder,
@@ -8,10 +13,11 @@ from toricroots import (
     positive_roots,
     validate_ray_matrix,
 )
+from toricroots import roots
 from toricroots.roots import satisfies_canonical_condition
 
 from conftest import incomparable_columns_matrix, projective_space, random_ray_matrices
-from oracles import box_scan_roots
+from oracles import box_scan_roots, orthant_box_roots
 
 
 def coords_by_ray(A):
@@ -159,3 +165,44 @@ def test_enumeration_matches_box_scan_oracle():
     for A in random_ray_matrices(30, seed=2024, max_rows=4, max_entry=4):
         system = demazure_roots(A)
         assert {(r.ray, r.coords) for r in system.roots} == box_scan_roots(A)
+
+
+def wide_entry_matrices(count, seed, n):
+    """Rank-n ray matrices whose first column has entries up to 40 against
+    entries up to 6 elsewhere, so that basis ray has many roots, cut by two
+    rows."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rows = [
+            [rng.randint(1, 40)] + [rng.randint(0, 6) for _ in range(n - 1)]
+            for _ in range(2)
+        ]
+        rows = [[x // math.gcd(*row) for x in row] for row in rows]
+        perm = rng.sample(range(n), n)
+        try:
+            A = validate_ray_matrix([[row[j] for j in perm] for row in rows], n)
+        except InputError:
+            continue
+        out.append(canonical_reorder(A)[1])
+    return out
+
+
+def test_search_matches_orthant_box_scan_on_large_entries():
+    matrices = wide_entry_matrices(12, 4040, 3) + wide_entry_matrices(8, 4041, 4)
+    for A in matrices:
+        system = demazure_roots(A)
+        found = {(r.ray, r.coords) for r in system.roots if r.ray < A.n}
+        assert found == orthant_box_roots(A)
+
+
+def test_root_cap(monkeypatch):
+    # [[30, 1, 1]] has 496 roots on ray 1, 2 on each of rays 2 and 3, and
+    # the unit columns 2 and 3 give 2 detached roots
+    A = validate_ray_matrix([[30, 1, 1]], 3)
+    search = demazure_roots.__wrapped__  # bypass the cache
+    monkeypatch.setattr(roots, "MAX_ROOTS", 502)
+    assert len(search(A).roots) == 502
+    monkeypatch.setattr(roots, "MAX_ROOTS", 501)
+    with pytest.raises(CapExceededError, match="more than 501 Demazure roots"):
+        search(A)
