@@ -37,6 +37,7 @@ from .groups import (
     Semidirect,
     TriangularBlock,
 )
+from .lattice import as_int
 
 SCHEMA_VERSION = 1
 
@@ -103,9 +104,12 @@ def _document_from_args(args) -> dict:
                              "'ray_matrix', 'rays', 'sequence'")
         key = keys.pop()
         if key == "sequence":
+            if not isinstance(doc["sequence"], list):
+                raise InputError("bad-shape: 'sequence' must be a list of integers")
             return {"sequence": doc["sequence"]}
         if "n" not in doc:
             raise InputError("input document needs 'n'")
+        n = as_int(doc["n"])
         rows = doc[key]
         if (
             not isinstance(rows, list)
@@ -113,9 +117,9 @@ def _document_from_args(args) -> dict:
             or any(not isinstance(r, list) for r in rows)
         ):
             raise InputError(f"'{key}' must be a non-empty list of integer lists")
-        if any(len(r) != doc["n"] for r in rows):
+        if any(len(r) != n for r in rows):
             raise InputError("'n' must equal the row width")
-        return {key: rows, "n": doc["n"]}
+        return {key: rows, "n": n}
     if kind == "sequence":
         return {"sequence": _parse_sequence(value)}
     rows = _parse_int_rows(value, kind.replace("_", " "))
@@ -340,6 +344,10 @@ def _cmd_umax(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.max_results < 1:
+        # every radiant fan has at least U_max itself
+        raise InputError(f"bad-max-results: --max-results must be at least 1, "
+                         f"got {args.max_results}")
     A, base = _canonical(_document_from_args(args))
     exit_code = 0
     try:
@@ -586,12 +594,10 @@ def _cmd_surface(args) -> int:
 # argument wiring
 
 
-def _add_fan_inputs(sub, sequence_ok: bool = False) -> None:
+def _add_fan_inputs(sub) -> None:
     sub.add_argument("--ray-matrix", help="semicolon-separated rows of integers")
     sub.add_argument("--rays", help="semicolon-separated rays of integers")
     sub.add_argument("--input", help="JSON input document")
-    if sequence_ok:
-        sub.add_argument("--sequence", help="comma-separated surface sequence")
 
 
 @functools.cache
@@ -606,17 +612,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     specs = [
-        ("bilateral", _cmd_bilateral, "decide bilateral structure / radiance", False),
-        ("roots", _cmd_roots, "enumerate and classify all Demazure roots", False),
-        ("umax", _cmd_umax, "shape of the maximal unipotent subgroup", False),
-        ("enumerate", _cmd_enumerate, "all open-orbit regular unipotent subgroups", False),
-        ("series", _cmd_series, "central and derived series of U_max", False),
-        ("center", _cmd_center, "center of U_max", False),
-        ("type", _cmd_type, "Type I (commutative U_max) or Type II", False),
-        ("split", _cmd_split, "factor off projective lines (Type I only)", False),
-        ("verify", _cmd_verify, "symbolic verification battery", False),
+        ("bilateral", _cmd_bilateral, "decide bilateral structure / radiance"),
+        ("roots", _cmd_roots, "enumerate and classify all Demazure roots"),
+        ("umax", _cmd_umax, "shape of the maximal unipotent subgroup"),
+        ("enumerate", _cmd_enumerate, "all open-orbit regular unipotent subgroups"),
+        ("series", _cmd_series, "central and derived series of U_max"),
+        ("center", _cmd_center, "center of U_max"),
+        ("type", _cmd_type, "Type I (commutative U_max) or Type II"),
+        ("split", _cmd_split, "factor off projective lines (Type I only)"),
+        ("verify", _cmd_verify, "symbolic verification battery"),
     ]
-    for name, func, help_text, _ in specs:
+    for name, func, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         _add_fan_inputs(p)
         fmts = ["json", "table", "dot"] if name == "series" else ["json", "table"]

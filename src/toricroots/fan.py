@@ -48,11 +48,12 @@ class RayMatrix:
     @classmethod
     def validate(cls, raw: Iterable[Iterable[int]], n: int) -> "RayMatrix":
         """Check all ray-matrix invariants, naming every violation."""
+        n = lattice.as_int(n)
         violations: list[str] = []
         try:
             rows = tuple(lattice.as_vector(r) for r in raw)
-        except (TypeError, ValueError):
-            raise InputError("ray matrix entries must be integers", ["bad-shape"]) from None
+        except TypeError:
+            raise InputError("ray matrix rows must be lists of integers", ["bad-shape"]) from None
         if n < 1:
             violations.append("bad-shape: n must be >= 1")
         if not rows:
@@ -87,9 +88,6 @@ class RayMatrix:
     def columns(self) -> tuple[IntVector, ...]:
         return tuple(tuple(row[j] for row in self.rows) for j in range(self.n))
 
-    def column(self, j: int) -> IntVector:
-        return tuple(row[j] for row in self.rows)
-
     def pairing(self, e: IntVector, ray: int) -> int:
         """Pairing of the character ``e`` (dual-basis coordinates) with the
         primitive generator of ray ``ray`` (0-based, basis rays first)."""
@@ -115,6 +113,7 @@ class RayList:
 
     @classmethod
     def validate(cls, raw: Iterable[Iterable[int]], n: int) -> "RayList":
+        n = lattice.as_int(n)
         rays = tuple(lattice.as_vector(r) for r in raw)
         violations = []
         if n < 1:
@@ -162,7 +161,8 @@ def _cross(u: IntVector, v: IntVector) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _angle_less(u: IntVector, v: IntVector) -> bool:
+def angle_less(u: IntVector, v: IntVector) -> bool:
+    """True when the plane vector ``u`` has a smaller angle in [0, 2*pi)."""
     hu, hv = _angle_half(u), _angle_half(v)
     if hu != hv:
         return hu < hv
@@ -174,7 +174,7 @@ def _check_planar_completeness(rays: tuple[IntVector, ...]) -> None:
     fan iff, sorted by angle, every consecutive (cyclic) gap is < pi."""
     if len(rays) < 3:
         raise IncompleteFanError("fan not complete: fewer than 3 rays in rank 2")
-    order = sorted(rays, key=functools.cmp_to_key(lambda a, b: -1 if _angle_less(a, b) else 1))
+    order = sorted(rays, key=functools.cmp_to_key(lambda a, b: -1 if angle_less(a, b) else 1))
     for u, v in zip(order, order[1:] + order[:1]):
         if _cross(u, v) <= 0:
             raise IncompleteFanError(

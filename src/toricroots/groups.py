@@ -8,20 +8,24 @@ back on level ``i``) must already lie in ``M``.  The subgroup has an open
 orbit exactly when ``M`` contains every basic root, and its dimension is the
 number of roots in ``M``.
 
-This module enumerates all such subgroups, computes the abstract shape of
-the maximal unipotent subgroup as an iterated semidirect product of
-triangular blocks, and derives centers, central series, derived series,
-nilpotency class and derived length from a directed graph on the roots:
-there is an arrow ``a -> a+e`` whenever ``a``, ``e`` and ``a+e`` all lie in
-``M``.  The graph is acyclic; the k-th lower central term is spanned by the
-roots reached by paths of length ``k``, the k-th upper central term by the
-roots from which every path is shorter than ``k``, and passing from a root
-set to the arrow targets computes derived subgroups.
+Saturation runs on bitmasks over one table of the positive roots per
+matrix (``_table``), whose sum triples drive the one closure ``_close``.
+The module also computes the abstract shape of the maximal unipotent
+subgroup as an iterated semidirect product of triangular blocks, and derives
+centers, central series, derived series, nilpotency class and derived length
+from a directed graph on the roots: there is an arrow ``a -> a+e`` whenever
+``a``, ``e`` and ``a+e`` all lie in ``M``.  The graph is acyclic; the k-th
+lower central term is spanned by the roots reached by paths of length ``k``,
+the k-th upper central term by the roots from which every path is shorter
+than ``k``, and passing from a root set to the arrow targets computes
+derived subgroups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -39,7 +43,6 @@ from .roots import (
     column_preorder,
     demazure_roots,
     positive_roots,
-    root_ray,
 )
 
 #: Default cap on the number of subgroups emitted by the enumeration.
@@ -91,58 +94,102 @@ class RootSet:
         return (self.dimension, tuple(r.coords for r in self.roots))
 
 
-def _as_rootset(A: RayMatrix, M: RootsLike) -> RootSet:
-    if isinstance(M, RootSet):
-        rs = M
-    else:
-        rs = RootSet.of(A.n, M)
-    pos = positive_roots(A)
-    allowed = {r.coords for level in pos for r in level}
-    for r in rs.roots:
-        if r.coords not in allowed:
+# ---------------------------------------------------------------------------
+# the positive-root table and its closure
+
+
+@dataclass(frozen=True)
+class _RootTable:
+    """The positive roots of a canonical matrix, numbered 0..N-1 in sorted
+    order; a root set is the bitmask of its numbers.
+
+    ``partners[r]`` lists ``(other, s)``, by ascending ``other``, for each
+    triple ``(x, y, s)`` holding ``r`` with ``x + y = s`` and
+    ``ray(y) > ray(x)`` (so ``x < y``).  A positive root plus a positive root
+    of a higher level is a positive root of the lower level or no root at
+    all, so these triples are the whole saturation relation.  They are found
+    on first use: ``center`` needs only the numbering.
+    """
+
+    n: int
+    roots: tuple[DemazureRoot, ...]
+    index: dict[IntVector, int]
+    basics: int
+
+    @cached_property
+    def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        out: list[list[tuple[int, int]]] = [[] for _ in self.roots]
+        for x, a in enumerate(self.roots):
+            for y in range(x + 1, len(self.roots)):
+                b = self.roots[y]
+                if b.ray != a.ray:
+                    s = self.index.get(tuple(p + q for p, q in zip(a.coords, b.coords)))
+                    if s is not None:
+                        out[x].append((y, s))
+                        out[y].append((x, s))
+        return tuple(map(tuple, out))
+
+    def rootset(self, mask: int) -> RootSet:
+        return RootSet(self.n, tuple(self.roots[k] for k in _members(mask)))
+
+
+@lru_cache(maxsize=256)
+def _table(A: RayMatrix) -> _RootTable:
+    roots = tuple(r for level in positive_roots(A) for r in level)
+    index = {r.coords: k for k, r in enumerate(roots)}
+    basics = sum(1 << k for k, r in enumerate(roots) if r.kind == KIND_BASIC)
+    return _RootTable(A.n, roots, index, basics)
+
+
+def _members(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _close(table: _RootTable, mask: int, new: Sequence[int]) -> int:
+    """Smallest saturated superset of ``mask``, given that every violated
+    triple holds one of the roots ``new`` (all in ``mask``)."""
+    stack = list(new)
+    while stack:
+        for other, s in table.partners[stack.pop()]:
+            if mask >> other & 1 and not mask >> s & 1:
+                mask |= 1 << s
+                stack.append(s)
+    return mask
+
+
+def _as_mask(table: _RootTable, M: RootsLike) -> int:
+    mask = 0
+    for r in sorted(set(M)):
+        k = table.index.get(r.coords)
+        if k is None:
             raise InputError(f"element not in the positive roots: {r.coords}")
-    return rs
+        mask |= 1 << k
+    return mask
 
 
 def is_saturated(
     A: RayMatrix, M: RootsLike
 ) -> tuple[bool, Optional[tuple[IntVector, IntVector, IntVector]]]:
-    """Saturation test; on failure returns the violating triple (a, b, a+b)."""
-    rs = _as_rootset(A, M)
-    members = rs.coords
-    levels = rs.levels
-    for i in range(A.n):
-        higher = [b for j in range(i + 1, A.n) for b in levels[j]]
-        for a in levels[i]:
-            for b in higher:
-                s = tuple(x + y for x, y in zip(a.coords, b.coords))
-                if root_ray(A, s) is not None and s not in members:
-                    return False, (a.coords, b.coords, s)
-    return True, None
+    """Saturation test; on failure returns the first violating triple
+    (a, b, a+b), with ``a`` and then ``b`` in sorted order."""
+    table = _table(A)
+    mask = _as_mask(table, M)
+    if _close(table, mask, _members(mask)) == mask:
+        return True, None
+    x, y, s = next(
+        (x, y, s) for x in _members(mask) for y, s in table.partners[x]
+        if y > x and mask >> y & 1 and not mask >> s & 1
+    )
+    return False, (table.roots[x].coords, table.roots[y].coords, table.roots[s].coords)
 
 
 def saturation_closure(A: RayMatrix, M: RootsLike) -> RootSet:
-    """Smallest saturated superset: repeatedly add root sums ``a + b`` with
-    ``b`` on a strictly higher level.  Well-defined because the saturation
-    condition is closure under such sums, so saturated supersets intersect
-    to a saturated set; terminates inside the finite positive root set."""
-    rs = _as_rootset(A, M)
-    system = demazure_roots(A)
-    current = set(rs.roots)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current)
-        for a in snapshot:
-            for b in snapshot:
-                if b.ray <= a.ray:
-                    continue
-                s = tuple(x + y for x, y in zip(a.coords, b.coords))
-                root = system.find(s)
-                if root is not None and root not in current:
-                    current.add(root)
-                    changed = True
-    return RootSet.of(A.n, current)
+    """Smallest saturated superset.  Well-defined because the saturation
+    condition is closure under root sums ``a + b`` with ``b`` on a strictly
+    higher level, so saturated supersets intersect to a saturated set."""
+    table = _table(A)
+    mask = _as_mask(table, M)
+    return table.rootset(_close(table, mask, _members(mask)))
 
 
 def has_open_orbit(M: RootSet) -> bool:
@@ -167,59 +214,51 @@ def enumerate_open_orbit_subgroups(
 ) -> EnumerationResult:
     """All saturated subsets of the positive roots containing every basic root.
 
-    Levels are fixed from the top down: level ``n-1`` is forced, and at level
-    ``i`` every subset of the positive roots containing the basic root and
-    saturated with respect to the already-chosen higher levels is tried.
-    Output is sorted by (dimension, root list).  Exceeding ``max_results``
-    raises ``ResultCapError`` carrying the partial output.
+    These are the closed sets of ``_close`` above the closure of the basic
+    roots, listed by Ganter's NextClosure, which spends polynomial work per
+    set.  Output is sorted by (dimension, root list).  Finding more than
+    ``max_results`` raises ``ResultCapError`` carrying the first
+    ``max_results`` sets in NextClosure order, sorted the same way.
     """
-    pos = positive_roots(A)
-    n = A.n
-    system = demazure_roots(A)
-
-    def level_ok(candidate: Sequence[DemazureRoot], higher: Sequence[DemazureRoot]) -> bool:
-        chosen = {r.coords for r in candidate}
-        for a in candidate:
-            for b in higher:
-                s = tuple(x + y for x, y in zip(a.coords, b.coords))
-                if system.find(s) is not None and s not in chosen:
-                    return False
-        return True
-
-    results: list[RootSet] = []
-
-    def descend(i: int, picked: list[tuple[DemazureRoot, ...]], higher: list[DemazureRoot]):
-        if i < 0:
-            if len(results) >= max_results:
-                raise ResultCapError(
-                    f"enumeration cap of {max_results} subgroups exceeded",
-                    partial=_finish_enumeration(results, complete=False),
-                )
-            results.append(RootSet.of(n, [r for lev in picked for r in lev]))
-            return
-        basic = next(r for r in pos[i] if r.kind == KIND_BASIC)
-        optional = [r for r in pos[i] if r is not basic]
-        for mask in range(1 << len(optional)):
-            candidate = (basic,) + tuple(
-                r for bit, r in enumerate(optional) if mask >> bit & 1
+    table = _table(A)
+    found: list[int] = []
+    closed: Optional[int] = _close(table, table.basics, _members(table.basics))
+    while closed is not None:
+        if len(found) >= max_results:
+            raise ResultCapError(
+                f"enumeration cap of {max_results} subgroups exceeded",
+                partial=_finish_enumeration(table, found, complete=False),
             )
-            if level_ok(candidate, higher):
-                descend(i - 1, picked + [candidate], higher + list(candidate))
-
-    descend(n - 1, [], [])
-    return _finish_enumeration(results, complete=True)
+        found.append(closed)
+        closed = _next_closure(table, closed)
+    return _finish_enumeration(table, found, complete=True)
 
 
-def _finish_enumeration(results: list[RootSet], complete: bool) -> EnumerationResult:
-    ordered = tuple(sorted(results, key=RootSet.sort_key))
-    hist: dict[int, int] = {}
-    for rs in ordered:
-        hist[rs.dimension] = hist.get(rs.dimension, 0) + 1
-    return EnumerationResult(
-        subgroups=ordered,
-        histogram=tuple(sorted(hist.items())),
-        complete=complete,
-    )
+def _next_closure(table: _RootTable, closed: int) -> Optional[int]:
+    """The lectically next closed set after ``closed`` (Ganter 1984).
+
+    In sorted numbering ``s`` lies below ``x`` when ``y`` is basic and below
+    ``y`` otherwise, so the part of a closed set below ``i`` together with
+    the basic roots is closed: closing after adding root ``i`` only has to
+    follow ``i``.
+    """
+    for i in range(len(table.roots) - 1, -1, -1):
+        bit = 1 << i
+        if closed & bit:
+            continue
+        below = closed & (bit - 1)
+        candidate = _close(table, below | table.basics | bit, (i,))
+        if candidate & (bit - 1) == below:
+            return candidate
+    return None
+
+
+def _finish_enumeration(
+    table: _RootTable, found: list[int], complete: bool
+) -> EnumerationResult:
+    ordered = tuple(sorted(map(table.rootset, found), key=RootSet.sort_key))
+    hist = Counter(rs.dimension for rs in ordered)
+    return EnumerationResult(ordered, tuple(sorted(hist.items())), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +420,16 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
     """Center of the subgroup with root set ``M`` (open orbit required):
     the product of the basic root subgroups at indices whose pairing with
     every root of ``M`` is non-positive."""
-    rs = _as_rootset(A, M)
-    if not has_open_orbit(rs):
+    table = _table(A)
+    mask = _as_mask(table, M)
+    if mask & table.basics != table.basics:
         raise NoOpenOrbitError(
             "center formula needs an open orbit; use liealg.lie_center as the oracle"
         )
-    indices = tuple(
-        i for i in range(A.n) if all(r.coords[i] <= 0 for r in rs.roots)
-    )
-    system = demazure_roots(A)
-    center_roots = RootSet.of(
-        A.n,
-        [
-            system.find(tuple(-1 if j == i else 0 for j in range(A.n)))
-            for i in indices
-        ],
-    )
-    full_positive = frozenset(
-        r.coords for level in positive_roots(A) for r in level
-    )
-    if rs.coords == full_positive:
+    indices = _center_indices(table.rootset(mask))
+    basics = table.rootset(table.basics).roots
+    center_roots = RootSet(A.n, tuple(r for r in basics if r.ray in indices))
+    if mask == (1 << len(table.roots)) - 1:
         # for U_max the center indices are the smallest members of the
         # maximal column classes; verify
         pre = column_preorder(A)
@@ -410,6 +439,11 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
                 f"center indices {indices} disagree with maximal classes {expected}"
             )
     return CenterReport(indices=indices, roots=center_roots)
+
+
+def _center_indices(M: RootSet) -> tuple[int, ...]:
+    """Indices whose pairing with every root of ``M`` is non-positive."""
+    return tuple(i for i in range(M.n) if all(r.coords[i] <= 0 for r in M.roots))
 
 
 @dataclass(frozen=True)
@@ -427,12 +461,6 @@ class Arrow:
 class RootGraph:
     vertices: tuple[DemazureRoot, ...]
     arrows: tuple[Arrow, ...]
-
-    def out_arrows(self, v: DemazureRoot) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.source == v)
-
-    def in_arrows(self, v: DemazureRoot) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.target == v)
 
     def inner_subgraph(self) -> "RootGraph":
         return RootGraph(self.vertices, tuple(a for a in self.arrows if a.inner))
@@ -452,62 +480,36 @@ def root_graph(M: RootSet) -> RootGraph:
     graph = RootGraph(vertices=M.roots, arrows=tuple(sorted(
         arrows, key=lambda ar: (ar.source.coords, ar.target.coords)
     )))
-    _topological_order(graph)  # raises on a cycle
+    _path_lengths(graph)  # raises on a cycle
     return graph
 
 
-def _topological_order(graph: RootGraph) -> list[DemazureRoot]:
-    indeg = {v: 0 for v in graph.vertices}
+def _path_lengths(graph: RootGraph) -> tuple[list[int], list[int]]:
+    """Longest path ending at and starting from each vertex (by position),
+    from one topological order over adjacency lists; raises on a cycle."""
+    position = {v.coords: k for k, v in enumerate(graph.vertices)}
+    succ: list[list[int]] = [[] for _ in graph.vertices]
+    indeg = [0] * len(graph.vertices)
     for a in graph.arrows:
-        indeg[a.target] += 1
-    ready = sorted((v for v, d in indeg.items() if d == 0))
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for a in graph.arrows:
-            if a.source == v:
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    ready.append(a.target)
-    if len(order) != len(graph.vertices):
+        t = position[a.target.coords]
+        succ[position[a.source.coords]].append(t)
+        indeg[t] += 1
+    order = [v for v, d in enumerate(indeg) if d == 0]
+    for v in order:  # grows while it is read: Kahn's algorithm
+        for t in succ[v]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                order.append(t)
+    if len(order) != len(indeg):
         raise InvariantViolation("root graph has a cycle")
-    return order
-
-
-def longest_path_length(graph: RootGraph) -> int:
-    order = _topological_order(graph)
-    longest_to = {v: 0 for v in graph.vertices}
+    longest_to = [0] * len(order)
+    longest_from = [0] * len(order)
     for v in order:
-        for a in graph.arrows:
-            if a.source == v:
-                longest_to[a.target] = max(longest_to[a.target], longest_to[v] + 1)
-    return max(longest_to.values(), default=0)
-
-
-def _ascend_sets(M: RootSet, graph: RootGraph, steps: int) -> list[frozenset[IntVector]]:
-    # k-th set: roots reached by a path of length exactly k
-    sets = [frozenset(M.coords)]
-    for _ in range(steps):
-        prev = sets[-1]
-        sets.append(frozenset(a.target.coords for a in graph.arrows if a.source.coords in prev))
-    return sets
-
-
-def _descend_sets(M: RootSet, graph: RootGraph, steps: int) -> list[frozenset[IntVector]]:
-    # k-th set: roots from which every outgoing path has length < k
-    order = _topological_order(graph)
-    longest_from = {v.coords: 0 for v in graph.vertices}
+        for t in succ[v]:
+            longest_to[t] = max(longest_to[t], longest_to[v] + 1)
     for v in reversed(order):
-        for a in graph.arrows:
-            if a.source == v:
-                longest_from[v.coords] = max(
-                    longest_from[v.coords], longest_from[a.target.coords] + 1
-                )
-    return [
-        frozenset(c for c, lp in longest_from.items() if lp < k)
-        for k in range(steps + 1)
-    ]
+        longest_from[v] = max((longest_from[t] + 1 for t in succ[v]), default=0)
+    return longest_to, longest_from
 
 
 @dataclass(frozen=True)
@@ -525,32 +527,30 @@ def series_report(M: RootSet) -> SeriesReport:
     """Lower/upper central series and derived series of the subgroup with
     saturated root set ``M``, via its root graph.
 
-    The derived series recomputes the graph on each successive root set; the
-    central series use the graph of ``M`` itself.
+    The k-th lower term holds the roots ending a path of length ``k``, the
+    k-th upper term the roots starting no path of length ``k``; the derived
+    series passes to the arrow targets of the graph induced on each term.
     """
     graph = root_graph(M)
-    l = longest_path_length(graph)
-    index = {r.coords: r for r in M.roots}
+    longest_to, longest_from = _path_lengths(graph)
+    l = max(longest_to, default=0)
 
-    def to_rootset(coords: frozenset[IntVector]) -> RootSet:
-        return RootSet.of(M.n, [index[c] for c in coords])
+    def subset(keep) -> RootSet:
+        return RootSet(M.n, tuple(r for r, ok in zip(M.roots, keep) if ok))
 
-    lower = tuple(to_rootset(s) for s in _ascend_sets(M, graph, l + 1))
-    upper = tuple(to_rootset(s) for s in _descend_sets(M, graph, l + 1))
+    lower = tuple(subset(d >= k for d in longest_to) for k in range(l + 2))
+    upper = tuple(subset(d < k for d in longest_from) for k in range(l + 2))
 
     derived_sets = [M]
     while derived_sets[-1].roots:
-        g = root_graph(derived_sets[-1])
-        nxt = frozenset(a.target.coords for a in g.arrows)
-        derived_sets.append(to_rootset(nxt))
+        term = derived_sets[-1].coords
+        targets = {
+            a.target for a in graph.arrows
+            if {a.source.coords, a.target.coords, a.label.coords} <= term
+        }
+        derived_sets.append(subset(r in targets for r in M.roots))
         if len(derived_sets) > len(M.roots) + 2:
             raise InvariantViolation("derived series did not terminate")
-
-    center_indices = None
-    if has_open_orbit(M):
-        center_indices = tuple(
-            i for i in range(M.n) if all(r.coords[i] <= 0 for r in M.roots)
-        )
 
     return SeriesReport(
         lower=lower,
@@ -559,7 +559,7 @@ def series_report(M: RootSet) -> SeriesReport:
         nilpotency_class=l + 1 if M.roots else 0,
         derived_length=len(derived_sets) - 1,
         longest_path=l,
-        center_indices=center_indices,
+        center_indices=_center_indices(M) if has_open_orbit(M) else None,
     )
 
 
@@ -570,9 +570,7 @@ TYPE_II = "II"
 def variety_type(A: RayMatrix) -> str:
     """Type I when the maximal unipotent subgroup is commutative, i.e. when
     the root graph on the positive roots has no arrow."""
-    pos = positive_roots(A)
-    M = RootSet.of(A.n, [r for level in pos for r in level])
-    return TYPE_I if not root_graph(M).arrows else TYPE_II
+    return TYPE_I if not any(_table(A).partners) else TYPE_II
 
 
 @dataclass(frozen=True)

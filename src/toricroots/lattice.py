@@ -16,8 +16,16 @@ from .errors import InputError
 IntVector = tuple[int, ...]
 
 
+def as_int(x) -> int:
+    """``x`` itself when it is an int; a bool, float or string is rejected,
+    never coerced."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise InputError(f"non-integer: {x!r} is not an integer", ["non-integer"])
+
+
 def as_vector(v: Iterable[int]) -> IntVector:
-    return tuple(int(x) for x in v)
+    return tuple(as_int(x) for x in v)
 
 
 def primitive_normalize(v: Iterable[int]) -> IntVector:

@@ -198,7 +198,10 @@ def demazure_roots(A: RayMatrix) -> RootSystem:
             )
         )
     roots.sort()
-    by_ray = tuple(tuple(r for r in roots if r.ray == l) for l in range(m))
+    buckets: list[list[DemazureRoot]] = [[] for _ in range(m)]
+    for r in roots:
+        buckets[r.ray].append(r)
+    by_ray = tuple(map(tuple, buckets))
     system = RootSystem(matrix=A, roots=tuple(roots), by_ray=by_ray)
     for i in range(n):
         if not any(r.kind == KIND_BASIC for r in by_ray[i]):
@@ -353,9 +356,3 @@ def positive_roots(A: RayMatrix) -> tuple[tuple[DemazureRoot, ...], ...]:
         raise InvariantViolation("last positive level must be exactly the basic root")
     return levels
 
-
-def basic_root(A: RayMatrix, i: int) -> DemazureRoot:
-    for r in demazure_roots(A).by_ray[i]:
-        if r.kind == KIND_BASIC:
-            return r
-    raise InvariantViolation(f"basic root missing on ray {i}")

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import groups, roots
+from . import groups, lattice, roots
 from .errors import InputError, InvariantViolation, NotRadiantError
-from .fan import Bilateralization, RayList, RayMatrix, bilateralize
+from .fan import Bilateralization, RayList, RayMatrix, angle_less, bilateralize
 from .groups import GroupShape, RootSet
-from .lattice import IntVector
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class SurfaceSequence:
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "SurfaceSequence":
-        c = tuple(int(v) for v in values)
+        c = lattice.as_vector(values)
         if len(c) < 3:
             raise InputError("a surface sequence needs at least 3 entries")
         return cls(c)
@@ -56,17 +55,6 @@ class SurfaceSequence:
         return min(seqs)
 
 
-def _angle_half(v: IntVector) -> int:
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def _angle_less(u: IntVector, v: IntVector) -> bool:
-    hu, hv = _angle_half(u), _angle_half(v)
-    if hu != hv:
-        return hu < hv
-    return u[0] * v[1] - u[1] * v[0] > 0
-
-
 def sequence_to_rays(seq: SurfaceSequence) -> RayList:
     """Run the recursion and validate closure, distinctness and winding."""
     m = seq.m
@@ -84,7 +72,7 @@ def sequence_to_rays(seq: SurfaceSequence) -> RayList:
         if u[0] * v[1] - u[1] * v[0] != 1:
             raise InvariantViolation("consecutive rays are not a positive basis")
     descents = sum(
-        1 for u, v in zip(rays, rays[1:] + rays[:1]) if not _angle_less(u, v)
+        1 for u, v in zip(rays, rays[1:] + rays[:1]) if not angle_less(u, v)
     )
     if descents != 1:
         raise InputError(f"rays wind {descents} times around the origin, expected 1")

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's enumeration paths: root detection is
-the literal pairing definition scanned over a box, and the subgroup oracle
-filters all subsets of the positive roots against the literal pairwise
-saturation condition.
+the literal pairing definition scanned over a box, and the subgroup oracles
+either filter all subsets of the positive roots against the literal pairwise
+saturation condition or fix the levels from the top down, trying every
+subset of each level.
 """
 
 import itertools
@@ -107,3 +108,54 @@ def brute_force_open_orbit_rootsets(A):
                 RootSet.of(A.n, [r for i, r in enumerate(pos) if mask >> i & 1])
             )
     return sorted(results, key=RootSet.sort_key)
+
+
+def level_mask_rootsets(A):
+    """The open-orbit root sets by fixing levels from the top down, as
+    sorted ``RootSet``s: level ``n-1`` is forced, and at level ``i`` every
+    subset of the positive roots containing the basic root is tried (all
+    ``2^k`` masks) and kept when the sums with the already-chosen higher
+    levels that are roots stay inside it.  No result cap.
+    """
+    pos = positive_roots(A)
+    results = []
+
+    def level_ok(candidate, higher):
+        chosen = {r.coords for r in candidate}
+        for a in candidate:
+            for b in higher:
+                s = tuple(x + y for x, y in zip(a.coords, b.coords))
+                if literal_root_ray(A, s) is not None and s not in chosen:
+                    return False
+        return True
+
+    def descend(i, picked, higher):
+        if i < 0:
+            results.append(RootSet.of(A.n, [r for lev in picked for r in lev]))
+            return
+        basic = next(r for r in pos[i] if r.kind == "basic")
+        optional = [r for r in pos[i] if r is not basic]
+        for mask in range(1 << len(optional)):
+            candidate = (basic,) + tuple(
+                r for bit, r in enumerate(optional) if mask >> bit & 1
+            )
+            if level_ok(candidate, higher):
+                descend(i - 1, picked + [candidate], higher + list(candidate))
+
+    descend(A.n - 1, [], [])
+    return sorted(results, key=RootSet.sort_key)
+
+
+def literal_sum_triples(A):
+    """Coordinate triples ``(a, b, a + b)`` of positive roots with ``a`` on
+    a lower level than ``b`` whose sum is a root by the definition; a set
+    containing the basic roots is saturated iff it holds ``a + b`` whenever
+    it holds ``a`` and ``b``."""
+    pos = [r for level in positive_roots(A) for r in level]
+    out = []
+    for a in pos:
+        for b in pos:
+            s = tuple(x + y for x, y in zip(a.coords, b.coords))
+            if a.ray < b.ray and literal_root_ray(A, s) is not None:
+                out.append((a.coords, b.coords, s))
+    return out

@@ -5,6 +5,8 @@ stated time budgets are asserted."""
 import time
 from functools import lru_cache
 
+import pytest
+
 import property_battery as battery
 from conftest import (
     SEED_20,
@@ -14,9 +16,10 @@ from conftest import (
     projective_space,
     random_ray_matrices,
 )
-from oracles import box_scan_roots, brute_force_open_orbit_rootsets
+from oracles import box_scan_roots, brute_force_open_orbit_rootsets, literal_sum_triples
 
 from toricroots import (
+    ResultCapError,
     bilateralize,
     center,
     demazure_roots,
@@ -257,3 +260,20 @@ def test_criterion_12_root_search_is_output_sensitive():
         system = demazure_roots(validate_ray_matrix([[12, 8, 6, 4, 3, 2, 1]], 7))
         assert len(system.roots) == 301
     report(12, t, "301 roots of the (1,2,3,4,6,8,12) weighted space")
+
+
+def test_criterion_13_enumeration_cap_bounds_the_work():
+    A = validate_ray_matrix([[5, 4, 3, 2, 1]], 5)
+    with Timer(3.0) as t:
+        with pytest.raises(ResultCapError) as err:
+            enumerate_open_orbit_subgroups(A, max_results=10_000)
+    partial = err.value.partial
+    assert partial.count == 10_000 and not partial.complete
+    sets = {rs.coords for rs in partial.subgroups}
+    assert len(sets) == 10_000
+    basics = {tuple(-1 if j == i else 0 for j in range(5)) for i in range(5)}
+    triples = literal_sum_triples(A)
+    for coords in sets:
+        assert basics <= coords
+        assert all(s in coords for a, b, s in triples if a in coords and b in coords)
+    report(13, t, "10 000 distinct saturated subgroups of P(1,2,3,4,5) up to the cap")

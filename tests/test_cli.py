@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toricroots.cli import main
 
 
@@ -229,3 +231,24 @@ def test_root_cap_exits_one_without_traceback(capsys):
         "error: root cap exceeded: the ray matrix has more than "
         "1000000 Demazure roots (MAX_ROOTS)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, doc, violation",
+    [
+        (["roots"], {"n": 2, "ray_matrix": [[1, 1.5]]}, "non-integer: 1.5 "),
+        (["roots"], {"n": True, "ray_matrix": [[1]]}, "non-integer: True "),
+        (["roots"], {"n": 2, "ray_matrix": [[1, "2"]]}, "non-integer: '2' "),
+        (["roots"], {"n": 2, "rays": [[1, "a"], [0, 1], [-1, -1]]}, "non-integer: 'a' "),
+        (["surface"], {"sequence": 5}, "bad-shape: 'sequence' "),
+        (["enumerate", "--ray-matrix", "1 1", "--max-results", "-1"], None, "bad-max-results: "),
+    ],
+)
+def test_input_faults_exit_two_with_named_violation(tmp_path, capsys, argv, doc, violation):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = argv + ["--input", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + violation) and err.count("\n") == 1

@@ -35,7 +35,7 @@ from conftest import (
     projective_space,
     random_ray_matrices,
 )
-from oracles import brute_force_open_orbit_rootsets
+from oracles import brute_force_open_orbit_rootsets, level_mask_rootsets
 
 
 def rootset(A, coords_list):
@@ -170,6 +170,58 @@ def test_enumeration_vs_oracle_random():
         assert [rs.coords for rs in mine.subgroups] == [rs.coords for rs in oracle]
         checked += 1
     assert checked >= 5
+
+
+def coords_list(rootsets):
+    return [rs.coords for rs in rootsets]
+
+
+def test_enumeration_matches_both_oracles_weighted_space():
+    A = validate_ray_matrix([[4, 3, 2, 1]], 4)
+    mine = coords_list(enumerate_open_orbit_subgroups(A).subgroups)
+    assert len(mine) == 1193
+    assert mine == coords_list(level_mask_rootsets(A))
+    assert mine == coords_list(brute_force_open_orbit_rootsets(A))
+
+
+def test_enumeration_matches_both_oracles_rank_four_and_five():
+    checked = {4: 0, 5: 0}
+    for A in random_ray_matrices(60, seed=5150, max_n=5, max_rows=3, max_entry=3):
+        if A.n < 4 or sum(len(l) for l in positive_roots(A)) > 18:
+            continue
+        mine = coords_list(enumerate_open_orbit_subgroups(A).subgroups)
+        assert mine == coords_list(level_mask_rootsets(A))
+        assert mine == coords_list(brute_force_open_orbit_rootsets(A))
+        checked[A.n] += 1
+    assert checked[4] >= 5 and checked[5] >= 5
+
+
+@pytest.mark.parametrize("rows", [[[3, 2, 1]], [[2, 1, 1], [1, 1, 0]], [[1, 1, 1, 1]]])
+def test_enumeration_cap_boundary(rows):
+    A = validate_ray_matrix(rows, len(rows[0]))
+    full = enumerate_open_orbit_subgroups(A)
+    at_cap = enumerate_open_orbit_subgroups(A, max_results=full.count)
+    assert at_cap.complete and at_cap.subgroups == full.subgroups
+    with pytest.raises(ResultCapError) as err:
+        enumerate_open_orbit_subgroups(A, max_results=full.count - 1)
+    partial = err.value.partial
+    assert not partial.complete and partial.count == full.count - 1
+    assert len({rs.coords for rs in partial.subgroups}) == full.count - 1
+    assert all(is_saturated(A, rs)[0] and has_open_orbit(rs) for rs in partial.subgroups)
+    assert list(partial.subgroups) == sorted(partial.subgroups, key=RootSet.sort_key)
+
+
+def test_series_matches_lie_oracle_on_weighted_space_sample():
+    from toricroots.liealg import BracketTable, lie_series_oracle
+
+    A = validate_ray_matrix([[4, 3, 2, 1]], 4)
+    subgroups = enumerate_open_orbit_subgroups(A).subgroups
+    for M in subgroups[::60] + subgroups[-3:]:
+        lie = lie_series_oracle(M.roots, BracketTable.build(A, M.roots))
+        report = series_report(M)
+        assert tuple(t.coords for t in report.lower) == lie.lower
+        assert tuple(t.coords for t in report.upper) == lie.upper
+        assert tuple(t.coords for t in report.derived) == lie.derived
 
 
 # -- shapes -------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from toricroots import InputError
+from toricroots import InputError, RayList, SurfaceSequence, validate_ray_matrix
 from toricroots.lattice import (
     Basis,
     coords_in_basis,
@@ -130,3 +130,17 @@ def test_rank():
     assert rank([(1, 0), (0, 1), (-1, -1)]) == 2
     assert rank([(1, 2), (2, 4)]) == 1
     assert rank([]) == 0
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_integer_inputs_are_strict(bad):
+    cases = [
+        lambda: validate_ray_matrix([[1, bad]], 2),
+        lambda: validate_ray_matrix([[1]], bad),
+        lambda: RayList.validate([(1, 0), (0, 1), (-1, bad)], 2),
+        lambda: RayList.validate([(1,), (-1,)], bad),
+        lambda: SurfaceSequence.of([-1, -1, bad]),
+    ]
+    for case in cases:
+        with pytest.raises(InputError, match="non-integer"):
+            case()
