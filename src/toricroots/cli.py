@@ -5,7 +5,9 @@ as a list of rays, or (for surfaces) as a self-intersection sequence; every
 analysis canonicalizes the matrix and reports the column permutation it
 applied.  Output is deterministic: identical requests produce byte-identical
 bytes.  Exit codes: 0 success, 1 domain errors (e.g. non-radiant input to a
-radiant-only analysis), 2 malformed input.
+radiant-only analysis), 2 malformed input, 3 internal errors (a failed
+internal invariant or any other unexpected exception, reported without a
+traceback).
 
 All indices in reports (rays, columns, permutations) are 1-based; library
 internals are 0-based.
@@ -46,26 +48,26 @@ SCHEMA_VERSION = 1
 # parsing helpers
 
 
+#: An integer token: ASCII digits with an optional sign, nothing else.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_ints(text: str, what: str) -> list[int]:
+    """Integers separated by spaces or commas; any other token is rejected."""
+    tokens = text.replace(",", " ").split()
+    try:
+        if all(_INT_TOKEN.fullmatch(tok) for tok in tokens):
+            return [int(tok) for tok in tokens]
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InputError(f"could not parse {what}: {text!r}")
+
+
 def _parse_int_rows(text: str, what: str) -> list[list[int]]:
-    rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            rows.append([int(tok) for tok in chunk.replace(",", " ").split()])
-        except ValueError:
-            raise InputError(f"could not parse {what}: {chunk!r}") from None
+    rows = [_parse_ints(chunk.strip(), what) for chunk in text.split(";") if chunk.strip()]
     if not rows:
         raise InputError(f"empty {what}")
     return rows
-
-
-def _parse_sequence(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise InputError(f"could not parse sequence: {text!r}") from None
 
 
 def _load_input_file(path: str) -> dict:
@@ -121,7 +123,7 @@ def _document_from_args(args) -> dict:
             raise InputError("'n' must equal the row width")
         return {key: rows, "n": n}
     if kind == "sequence":
-        return {"sequence": _parse_sequence(value)}
+        return {"sequence": _parse_ints(value, "sequence")}
     rows = _parse_int_rows(value, kind.replace("_", " "))
     widths = {len(r) for r in rows}
     if len(widths) != 1:
@@ -676,7 +678,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ToricError as exc:  # invariant violations: report loudly
         sys.stderr.write(f"internal error: {exc}\n")
-        return 1
+        return 3
+    except Exception as exc:  # a bug: report it, never as a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

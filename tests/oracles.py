@@ -4,12 +4,14 @@ These deliberately avoid the library's enumeration paths: root detection is
 the literal pairing definition scanned over a box, and the subgroup oracles
 either filter all subsets of the positive roots against the literal pairwise
 saturation condition or fix the levels from the top down, trying every
-subset of each level.
+subset of each level.  The polynomial oracles substitute term by term and
+multiply dense matrices, the way the library did before its sparse paths.
 """
 
 import itertools
 
 from toricroots import RootSet, positive_roots
+from toricroots.poly import Poly
 
 
 def pairing_vector(A, e):
@@ -158,4 +160,53 @@ def literal_sum_triples(A):
             s = tuple(x + y for x, y in zip(a.coords, b.coords))
             if a.ray < b.ray and literal_root_ray(A, s) is not None:
                 out.append((a.coords, b.coords, s))
+    return out
+
+
+def termwise_substitute(p, images):
+    """``p`` with coordinate variable ``i`` replaced by ``images[i]``: every
+    term is multiplied out from its coefficient, one power of an image per
+    coordinate it involves (bare variables included) and its parameters."""
+    ring = p.ring
+    nc = ring.num_coords
+    powers = {}
+    total = ring.const(0)
+    for mono, coef in p.terms.items():
+        term = ring.const(coef)
+        for i in range(nc):
+            if mono[i]:
+                if (i, mono[i]) not in powers:
+                    powers[i, mono[i]] = images[i] ** mono[i]
+                term = term * powers[i, mono[i]]
+        param_part = (0,) * nc + mono[nc:]
+        if any(param_part):
+            term = term * Poly(ring, {param_part: 1})
+        total = total + term
+    return total
+
+
+def dense_unitriangular_product(X, Y, k, ring):
+    """The product of the k x k unitriangular matrices ``1 + X`` and
+    ``1 + Y`` by dense multiplication, every entry a sum of k products.
+    ``X``, ``Y`` and the result hold the non-zero strictly upper entries as
+    ``{(row, col): Poly}``, 1-based; the diagonal of the product must come
+    out as ones and its lower triangle as zeros."""
+
+    def dense(Z):
+        M = [[ring.const(int(i == j)) for j in range(k)] for i in range(k)]
+        for (i, j), value in Z.items():
+            M[i - 1][j - 1] = M[i - 1][j - 1] + value
+        return M
+
+    P, Q = dense(X), dense(Y)
+    out = {}
+    for i in range(k):
+        for j in range(k):
+            entry = sum((P[i][t] * Q[t][j] for t in range(k)), ring.const(0))
+            if i == j:
+                assert entry == ring.const(1)
+            elif i > j:
+                assert entry.is_zero()
+            elif not entry.is_zero():
+                out[i + 1, j + 1] = entry
     return out

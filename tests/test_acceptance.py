@@ -37,6 +37,7 @@ from toricroots.coxaction import (
     product,
     ring_for,
     root_automorphism,
+    verify_all,
     verify_conjugation,
 )
 from toricroots.groups import block
@@ -277,3 +278,12 @@ def test_criterion_13_enumeration_cap_bounds_the_work():
         assert basics <= coords
         assert all(s in coords for a, b, s in triples if a in coords and b in coords)
     report(13, t, "10 000 distinct saturated subgroups of P(1,2,3,4,5) up to the cap")
+
+
+def test_criterion_14_symbolic_battery_is_lean():
+    A = validate_ray_matrix([[5, 3, 2, 1]], 4)
+    with Timer(1.0) as t:
+        checks = verify_all(A)
+    assert all(c.ok for c in checks)
+    assert tuple(c.cases for c in checks) == (26, 187, 187, 4)
+    report(14, t, "every symbolic identity of P(1,2,3,5) verified")

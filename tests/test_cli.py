@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from toricroots import coxaction
 from toricroots.cli import main
+from toricroots.errors import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -252,3 +254,36 @@ def test_input_faults_exit_two_with_named_violation(tmp_path, capsys, argv, doc,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: " + violation) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["roots", "--ray-matrix", "1_0 1"], "could not parse ray matrix: '1_0 1'"),
+        (["roots", "--ray-matrix", "\uff11 1"], "could not parse ray matrix: '\uff11 1'"),
+        (["roots", "--rays", "1 0; 0 1; -1 -1_0"], "could not parse rays: '-1 -1_0'"),
+        (["surface", "--sequence=0,1_0,0,-1"], "could not parse sequence: '0,1_0,0,-1'"),
+        (["surface", "--sequence=0,\u0662,0,-2"], "could not parse sequence: '0,\u0662,0,-2'"),
+        (["roots", "--ray-matrix", "0x1 1"], "could not parse ray matrix: '0x1 1'"),
+    ],
+)
+def test_only_ascii_integer_tokens_are_read(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_invariant_violation_exits_three(capsys, monkeypatch):
+    def planted(A):
+        raise InvariantViolation("planted fault")
+
+    monkeypatch.setattr(coxaction, "verify_all", planted)
+    assert run(capsys, "verify", "--ray-matrix", "1 1") == (3, "", "internal error: planted fault\n")
+
+
+def test_unexpected_exception_exits_three_without_traceback(capsys, monkeypatch):
+    def planted(A):
+        raise ZeroDivisionError("planted fault")
+
+    monkeypatch.setattr(coxaction, "verify_all", planted)
+    assert run(capsys, "verify", "--ray-matrix", "1 1") == (
+        3, "", "internal error: ZeroDivisionError: planted fault\n"
+    )

@@ -5,16 +5,18 @@ import pytest
 from toricroots import (
     DegreeCapError,
     InputError,
+    coxaction,
     demazure_roots,
     positive_roots,
     validate_ray_matrix,
 )
 from toricroots.coxaction import (
     PolyAutomorphism,
+    _unitriangular_product,
+    class_embedding_positions,
     compose,
     first_order_commutator_matches_bracket,
     matrix_embedding_check,
-    monomial_support_is_root_aligned,
     product,
     ring_for,
     root_automorphism,
@@ -23,9 +25,25 @@ from toricroots.coxaction import (
     verify_conjugation,
 )
 from toricroots.groups import saturation_closure
-from toricroots.poly import PolyRing
+from toricroots.poly import Poly, PolyRing
+from toricroots.roots import column_preorder
 
 from conftest import projective_space, random_ray_matrices
+from oracles import dense_unitriangular_product, termwise_substitute
+
+
+def monomial_support_is_root_aligned(A, roots, word):
+    """Every non-identity monomial in the image of ``x_i`` must be the root
+    monomial of some root of the given set on ray ``i``."""
+    allowed_by_ray = {}
+    for r in roots:
+        allowed_by_ray.setdefault(r.ray, set()).add(theta(A, r))
+    for i, img in enumerate(word.images):
+        unit = tuple(1 if j == i else 0 for j in range(A.m))
+        for mono in {m[: A.m] for m in img.terms}:
+            if mono != unit and mono not in allowed_by_ray.get(i, set()):
+                return False
+    return True
 
 
 def find(A, coords):
@@ -167,6 +185,15 @@ def test_matrix_embedding_examples(p123, f1p1):
     assert matrix_embedding_check(f1p1, (2,))
 
 
+def test_class_model_rests_on_the_conjugation_identities(monkeypatch):
+    A = projective_space(3)  # one class with roots on three levels
+    monkeypatch.setattr(coxaction, "verify_conjugation", lambda *args, **kwargs: False)
+    assert not matrix_embedding_check(A, (0, 1, 2))
+    ok = {c.name: c.ok for c in verify_all(A)}
+    assert not ok["conjugation-identity"] and not ok["matrix-embedding"]
+    assert ok["one-parameter-law"] and ok["first-order-bracket"]
+
+
 def test_random_products_stay_root_aligned(p123):
     rng = random.Random(99)
     system = demazure_roots(p123)
@@ -186,6 +213,103 @@ def test_degree_cap_is_enforced():
     x = ring.var(0)
     with pytest.raises(DegreeCapError):
         (x + 1) ** 9
+
+
+def test_compose_raises_degree_cap_on_the_composite(p123):
+    # both factors have degree 4, their composite x1 + a*(x3 + b*x4)^3 has 7
+    ring = ring_for(p123, degree_cap=4)
+    u = root_automorphism(p123, find(p123, (-1, 0, 3)), ring.param("a"), ring)
+    v = root_automorphism(p123, find(p123, (0, 0, -1)), ring.param("b"), ring)
+    assert max(img.total_degree() for img in u.images + v.images) == 4
+    with pytest.raises(DegreeCapError):
+        compose(u, v)
+    # an image taken over unchanged where the first factor fixes x_i
+    identity = PolyAutomorphism.identity(ring)
+    high = PolyAutomorphism(ring, (ring.monomial((0, 0, 0, 5)),) + identity.images[1:])
+    with pytest.raises(DegreeCapError):
+        compose(identity, high)
+
+
+def test_substitute_raises_degree_cap_from_fixed_coordinates():
+    ring = PolyRing(num_coords=2, params=("a",), degree_cap=8)
+    x1, x2 = ring.var(0), ring.var(1)
+    high = ring.monomial((9, 0))  # built directly, so never checked
+    for images in [(x1, x2 + ring.param("a")), (x1, x2)]:
+        with pytest.raises(DegreeCapError):
+            high.substitute(images)
+    assert ring.monomial((8, 0)).substitute((x1, x2 + 1)) == ring.monomial((8, 0))
+
+
+def _random_poly(rng, ring, terms=3):
+    """At most ``terms`` terms of degree at most 2, some coefficients zero."""
+    out = {}
+    for _ in range(terms):
+        mono = [0] * ring.num_vars
+        for i in rng.sample(range(ring.num_vars), 2):
+            mono[i] += rng.randint(0, 1)
+        out[tuple(mono)] = rng.randint(-3, 3)
+    return Poly(ring, out)
+
+
+def _moved(rng, x):
+    """``x`` plus a random polynomial, never ``x`` itself."""
+    while True:
+        image = x + _random_poly(rng, x.ring)
+        if image != x:
+            return image
+
+
+def _termwise_compose(g, h):
+    return PolyAutomorphism(g.ring, tuple(termwise_substitute(img, h.images) for img in g.images))
+
+
+def test_compose_matches_termwise_substitution(p123, f1p1):
+    rng = random.Random(7)
+    for A in [p123, f1p1, projective_space(3)] + random_ray_matrices(6, seed=71):
+        ring = ring_for(A)
+        pos = [r for level in positive_roots(A) for r in level]
+        if not pos:
+            continue
+        word = PolyAutomorphism.identity(ring)
+        for _ in range(6):
+            e = rng.choice(pos)
+            u = root_automorphism(A, e, rng.choice([ring.param("a"), ring.param("b"), 2]), ring)
+            assert compose(word, u) == _termwise_compose(word, u)
+            assert compose(u, word) == _termwise_compose(u, word)
+            word = compose(word, u)
+        # no image is a bare variable: every coordinate moves on both sides
+        for _ in range(4):
+            g, h = (
+                PolyAutomorphism(ring, tuple(_moved(rng, x) for x in ring.variables))
+                for _ in range(2)
+            )
+            for left, right in [(g, h), (h, g), (g, word), (word, h)]:
+                assert compose(left, right) == _termwise_compose(left, right)
+
+
+def test_sparse_unitriangular_product_matches_dense(p123, f1p1):
+    rng = random.Random(11)
+    fans = [p123, f1p1] + [projective_space(n) for n in range(1, 5)]
+    fans += random_ray_matrices(12, seed=1212)
+    ring = PolyRing(num_coords=1, params=("a", "b"))
+    a, b = ring.param("a"), ring.param("b")
+    for A in fans:
+        pos = positive_roots(A)
+        for cls in column_preorder(A).classes:
+            k = len(pos[cls[0]]) + 1
+            cells = sorted(class_embedding_positions(A, cls).values())
+            elementary = [{cell: v} for cell in cells for v in (a, -a, a * b + 2)]
+            # every pair, including entries that cancel
+            for X in elementary:
+                for Y in elementary:
+                    assert _unitriangular_product(X, Y) == dense_unitriangular_product(X, Y, k, ring)
+            # seeded words of five elementary factors
+            for _ in range(10):
+                X = {}
+                for factor in rng.sample(elementary, min(5, len(elementary))):
+                    Y = _unitriangular_product(X, factor)
+                    assert Y == dense_unitriangular_product(X, factor, k, ring)
+                    X = Y
 
 
 def test_verify_all_random():
