@@ -32,7 +32,7 @@ from .groups import (
     uss_shape,
     variety_type,
 )
-from .lattice import Basis, coords_in_basis, is_unimodular_basis, primitive_normalize
+from .lattice import coords_in_basis, is_unimodular_basis
 from .roots import (
     DemazureRoot,
     canonical_reorder,

@@ -23,22 +23,9 @@ import sys
 from typing import Optional, Sequence
 
 from . import coxaction, groups, roots, surfaces
-from .errors import (
-    DomainError,
-    InputError,
-    NotBilateralError,
-    ResultCapError,
-    ToricError,
-)
-from .fan import RayList, RayMatrix, bilateralize
-from .groups import (
-    AbelianPower,
-    DirectProduct,
-    RootGraph,
-    RootSet,
-    Semidirect,
-    TriangularBlock,
-)
+from .errors import DomainError, InputError, NotBilateralError, ResultCapError, ToricError
+from .fan import Bilateralization, RayList, RayMatrix, bilateralize
+from .groups import AbelianPower, DirectProduct, RootGraph, RootSet, Semidirect, TriangularBlock
 from .lattice import as_int
 
 SCHEMA_VERSION = 1
@@ -84,16 +71,9 @@ def _load_input_file(path: str) -> dict:
 
 
 def _document_from_args(args) -> dict:
-    sources = [
-        s
-        for s in (
-            ("ray_matrix", getattr(args, "ray_matrix", None)),
-            ("rays", getattr(args, "rays", None)),
-            ("sequence", getattr(args, "sequence", None)),
-            ("input", getattr(args, "input", None)),
-        )
-        if s[1] is not None
-    ]
+    # each command's parser defines only the sources it takes
+    given = ((k, getattr(args, k, None)) for k in ("ray_matrix", "rays", "sequence", "input"))
+    sources = [s for s in given if s[1] is not None]
     if len(sources) != 1:
         raise InputError("exactly one input source is required "
                          "(--ray-matrix, --rays, --sequence or --input)")
@@ -113,11 +93,7 @@ def _document_from_args(args) -> dict:
             raise InputError("input document needs 'n'")
         n = as_int(doc["n"])
         rows = doc[key]
-        if (
-            not isinstance(rows, list)
-            or not rows
-            or any(not isinstance(r, list) for r in rows)
-        ):
+        if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
             raise InputError(f"'{key}' must be a non-empty list of integer lists")
         if any(len(r) != n for r in rows):
             raise InputError("'n' must equal the row width")
@@ -131,37 +107,40 @@ def _document_from_args(args) -> dict:
     return {kind: rows, "n": widths.pop()}
 
 
-def _matrix_from_document(doc: dict) -> tuple[RayMatrix, Optional[dict]]:
-    """Validated (non-canonical) ray matrix, plus bilateralization info when
-    the input came as a ray list."""
+def _witness(doc: dict) -> Optional[Bilateralization]:
+    """Bilateral witness of a fan input (``None`` when its rays have none);
+    a ray matrix is its own witness."""
     if "ray_matrix" in doc:
-        return RayMatrix.validate(doc["ray_matrix"], doc["n"]), None
+        A = RayMatrix.validate(doc["ray_matrix"], doc["n"])
+        return Bilateralization(tuple(range(A.n)), tuple(range(A.m)), A)
     if "rays" in doc:
-        rl = RayList.validate(doc["rays"], doc["n"])
-        witness = bilateralize(rl)
-        if witness is None:
-            raise NotBilateralError(
-                "ray set is not bilateral: the variety is not radiant"
-            )
-        info = {
-            "basis_rays": [i + 1 for i in witness.basis_indices],
-            "ray_order": [i + 1 for i in witness.ray_order],
-        }
-        return witness.matrix, info
+        return bilateralize(RayList.validate(doc["rays"], doc["n"]))
     raise InputError("this command needs a ray matrix or a ray list")
 
 
-def _canonical(doc: dict) -> tuple[RayMatrix, dict]:
-    raw, bilateral_info = _matrix_from_document(doc)
-    perm, A = roots.canonical_reorder(raw)
+def _witness_json(witness: Bilateralization) -> dict:
+    return {
+        "basis_rays": [i + 1 for i in witness.basis_indices],
+        "ray_order": [i + 1 for i in witness.ray_order],
+    }
+
+
+def _canonical(args) -> tuple[RayMatrix, dict]:
+    """Canonical ray matrix of the fan input and the fields that every fan
+    command reports about it."""
+    doc = _document_from_args(args)
+    witness = _witness(doc)
+    if witness is None:
+        raise NotBilateralError("ray set is not bilateral: the variety is not radiant")
+    perm, A = roots.canonical_reorder(witness.matrix)
     base = {
         "n": A.n,
         "m": A.m,
         "ray_matrix": [list(r) for r in A.rows],
         "column_permutation": [p + 1 for p in perm],
     }
-    if bilateral_info:
-        base["bilateralization"] = bilateral_info
+    if "rays" in doc:
+        base["bilateralization"] = _witness_json(witness)
     return A, base
 
 
@@ -192,99 +171,54 @@ def _shape_json(shape) -> dict:
         return {"kind": "vector_group", "power": shape.power}
     if isinstance(shape, TriangularBlock):
         return {"kind": "triangular_block", "k": shape.k, "l": shape.l}
-    if isinstance(shape, Semidirect):
-        return {
-            "kind": "semidirect",
-            "factors": [_shape_json(f) for f in shape.factors],
-        }
-    if isinstance(shape, DirectProduct):
-        return {
-            "kind": "direct_product",
-            "factors": [_shape_json(f) for f in shape.factors],
-        }
+    if isinstance(shape, (Semidirect, DirectProduct)):
+        kind = "semidirect" if isinstance(shape, Semidirect) else "direct_product"
+        return {"kind": kind, "factors": [_shape_json(f) for f in shape.factors]}
     raise TypeError(shape)
 
 
-def emit_dot(graph: RootGraph) -> str:
+def _dot_lines(graph: RootGraph) -> list[str]:
     """Root graph in DOT form: dashed arrows inside a level, dotted across."""
-    lines = ["digraph root_graph {"]
-    for v in sorted(graph.vertices):
-        lines.append(f'  "{v.display()}";')
+    lines = ["digraph root_graph {"] + [f'  "{v.display()}";' for v in sorted(graph.vertices)]
     for a in sorted(graph.arrows, key=lambda a: (a.source.coords, a.target.coords)):
         style = "dashed" if a.inner else "dotted"
-        lines.append(
-            f'  "{a.source.display()}" -> "{a.target.display()}" [style={style}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _print_table(lines: Sequence[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+        lines.append(f'  "{a.source.display()}" -> "{a.target.display()}" [style={style}];')
+    return lines + ["}"]
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: compute(args) -> (exit code, payload); table(payload) -> lines
 
 
-def _cmd_bilateral(args) -> int:
+def _bilateral(args) -> tuple[int, dict]:
     doc = _document_from_args(args)
     if "sequence" in doc:
         raise InputError("bilateral expects rays or a ray matrix")
-    if "ray_matrix" in doc:
-        A = RayMatrix.validate(doc["ray_matrix"], doc["n"])
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "bilateral",
-            "bilateral": True,
-            "basis_rays": list(range(1, A.n + 1)),
-            "ray_order": list(range(1, A.m + 1)),
-            "ray_matrix": [list(r) for r in A.rows],
-            "n": A.n,
-        }
-    else:
-        rl = RayList.validate(doc["rays"], doc["n"])
-        witness = bilateralize(rl)
-        if witness is None:
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "command": "bilateral",
-                "bilateral": False,
-                "n": rl.n,
-            }
-        else:
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "command": "bilateral",
-                "bilateral": True,
-                "basis_rays": [i + 1 for i in witness.basis_indices],
-                "ray_order": [i + 1 for i in witness.ray_order],
-                "ray_matrix": [list(r) for r in witness.matrix.rows],
-                "n": rl.n,
-            }
-    if args.format == "table":
-        lines = [f"bilateral: {'yes' if payload['bilateral'] else 'no'}"]
-        if payload["bilateral"]:
-            lines.append(f"basis rays: {payload['basis_rays']}")
-            lines.append(f"ray matrix rows: {payload['ray_matrix']}")
-        _print_table(lines)
-    else:
-        _print_json(payload)
-    return 0
+    witness = _witness(doc)
+    if witness is None:
+        return 0, {"bilateral": False, "n": doc["n"]}
+    return 0, {
+        "bilateral": True,
+        **_witness_json(witness),
+        "ray_matrix": [list(r) for r in witness.matrix.rows],
+        "n": witness.matrix.n,
+    }
 
 
-def _cmd_roots(args) -> int:
-    A, base = _canonical(_document_from_args(args))
+def _bilateral_table(p: dict) -> list[str]:
+    lines = [f"bilateral: {'yes' if p['bilateral'] else 'no'}"]
+    if p["bilateral"]:
+        lines.append(f"basis rays: {p['basis_rays']}")
+        lines.append(f"ray matrix rows: {p['ray_matrix']}")
+    return lines
+
+
+def _roots(args) -> tuple[int, dict]:
+    A, base = _canonical(args)
     system = roots.demazure_roots(A)
     pos = roots.positive_roots(A)
     pre = roots.column_preorder(A)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "roots",
+    return 0, {
         **base,
         "classes": [[i + 1 for i in cls] for cls in pre.classes],
         "class_cuts": list(pre.cuts),
@@ -294,31 +228,27 @@ def _cmd_roots(args) -> int:
         "positive_by_ray": [[list(r.coords) for r in level] for level in pos],
         "positive_count": sum(len(level) for level in pos),
     }
-    if args.format == "table":
-        lines = [
-            f"ray matrix (canonical): {payload['ray_matrix']}",
-            f"column permutation: {payload['column_permutation']}",
-            f"roots: {payload['count']}",
-        ]
-        for l, level in enumerate(system.by_ray):
-            shown = ", ".join(r.display() for r in level) or "(none)"
-            lines.append(f"R_{l + 1}: {shown}")
-        lines.append("positive roots by level:")
-        for i, level in enumerate(pos):
-            lines.append(f"R+_{i + 1}: " + ", ".join(r.display() for r in level))
-        _print_table(lines)
-    else:
-        _print_json(payload)
-    return 0
 
 
-def _cmd_umax(args) -> int:
-    A, base = _canonical(_document_from_args(args))
+def _roots_table(p: dict) -> list[str]:
+    lines = [
+        f"ray matrix (canonical): {p['ray_matrix']}",
+        f"column permutation: {p['column_permutation']}",
+        f"roots: {p['count']}",
+    ]
+    for l, level in enumerate(p["by_ray"]):
+        lines.append(f"R_{l + 1}: " + (", ".join(map(roots.display, level)) or "(none)"))
+    lines.append("positive roots by level:")
+    for i, level in enumerate(p["positive_by_ray"]):
+        lines.append(f"R+_{i + 1}: " + ", ".join(map(roots.display, level)))
+    return lines
+
+
+def _umax(args) -> tuple[int, dict]:
+    A, base = _canonical(args)
     report = groups.umax_shape(A)
     uss = groups.uss_shape(A)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "umax",
+    return 0, {
         **base,
         "classes": [[i + 1 for i in cls] for cls in report.classes],
         "block_sizes": [list(kl) for kl in report.block_sizes],
@@ -330,27 +260,24 @@ def _cmd_umax(args) -> int:
         "uss_display": uss.shape.display(),
         "simple_components": uss.simple_components,
     }
-    if args.format == "table":
-        _print_table(
-            [
-                f"U_max = {report.shape.display()}",
-                f"per-level refinement: {report.per_ray_shape.display()}",
-                f"U_ss = {uss.shape.display()}",
-                f"simple components: {uss.simple_components}",
-                f"column permutation: {payload['column_permutation']}",
-            ]
-        )
-    else:
-        _print_json(payload)
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _umax_table(p: dict) -> list[str]:
+    return [
+        f"U_max = {p['shape_display']}",
+        f"per-level refinement: {p['per_ray_display']}",
+        f"U_ss = {p['uss_display']}",
+        f"simple components: {p['simple_components']}",
+        f"column permutation: {p['column_permutation']}",
+    ]
+
+
+def _enumerate(args) -> tuple[int, dict]:
     if args.max_results < 1:
         # every radiant fan has at least U_max itself
         raise InputError(f"bad-max-results: --max-results must be at least 1, "
                          f"got {args.max_results}")
-    A, base = _canonical(_document_from_args(args))
+    A, base = _canonical(args)
     exit_code = 0
     try:
         result = groups.enumerate_open_orbit_subgroups(A, max_results=args.max_results)
@@ -359,8 +286,6 @@ def _cmd_enumerate(args) -> int:
         result = exc.partial
         exit_code = 1
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "enumerate",
         **base,
         "count": result.count,
         "complete": result.complete,
@@ -368,31 +293,23 @@ def _cmd_enumerate(args) -> int:
     }
     if args.histogram:
         payload["histogram"] = [list(pair) for pair in result.histogram]
-    if args.format == "table":
-        suffix = "" if result.complete else " (incomplete: cap reached)"
-        lines = [f"open-orbit regular unipotent subgroups: {result.count}{suffix}"]
-        if args.histogram:
-            for dim, count in result.histogram:
-                lines.append(f"dimension {dim}: {count}")
-        for rs in result.subgroups:
-            lines.append("  {" + ", ".join(r.display() for r in rs.roots) + "}")
-        _print_table(lines)
-    else:
-        _print_json(payload)
-    return exit_code
+    return exit_code, payload
 
 
-def _cmd_series(args) -> int:
-    A, base = _canonical(_document_from_args(args))
-    pos = roots.positive_roots(A)
-    M = RootSet.of(A.n, [r for level in pos for r in level])
+def _enumerate_table(p: dict) -> list[str]:
+    suffix = "" if p["complete"] else " (incomplete: cap reached)"
+    lines = [f"open-orbit regular unipotent subgroups: {p['count']}{suffix}"]
+    lines += [f"dimension {dim}: {count}" for dim, count in p.get("histogram", ())]
+    return lines + ["  {" + ", ".join(rs["display"]) + "}" for rs in p["subgroups"]]
+
+
+def _series(args) -> tuple[int, dict]:
+    A, base = _canonical(args)
+    M = groups.umax_rootset(A)
     if args.format == "dot":
-        sys.stdout.write(emit_dot(groups.root_graph(M)))
-        return 0
+        return 0, {"dot": _dot_lines(groups.root_graph(M))}
     report = groups.series_report(M)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "series",
+    return 0, {
         **base,
         "nilpotency_class": report.nilpotency_class,
         "derived_length": report.derived_length,
@@ -402,140 +319,102 @@ def _cmd_series(args) -> int:
         "derived": [_rootset_json(rs) for rs in report.derived],
         "center_indices": [i + 1 for i in report.center_indices or ()],
     }
-    if args.format == "table":
-        _print_table(
-            [
-                f"nilpotency class: {report.nilpotency_class}",
-                f"derived length: {report.derived_length}",
-                f"longest path in the root graph: {report.longest_path}",
-                "lower central series sizes: "
-                + " > ".join(str(t.dimension) for t in report.lower),
-                "upper central series sizes: "
-                + " < ".join(str(t.dimension) for t in report.upper),
-                "derived series sizes: "
-                + " > ".join(str(t.dimension) for t in report.derived),
-            ]
-        )
-    else:
-        _print_json(payload)
-    return 0
 
 
-def _cmd_center(args) -> int:
-    A, base = _canonical(_document_from_args(args))
-    pos = roots.positive_roots(A)
-    M = RootSet.of(A.n, [r for level in pos for r in level])
-    report = groups.center(M, A)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "center",
+def _series_table(p: dict) -> list[str]:
+    if "dot" in p:
+        return p["dot"]
+    return [
+        f"nilpotency class: {p['nilpotency_class']}",
+        f"derived length: {p['derived_length']}",
+        f"longest path in the root graph: {p['longest_path']}",
+        "lower central series sizes: " + " > ".join(str(t["dimension"]) for t in p["lower"]),
+        "upper central series sizes: " + " < ".join(str(t["dimension"]) for t in p["upper"]),
+        "derived series sizes: " + " > ".join(str(t["dimension"]) for t in p["derived"]),
+    ]
+
+
+def _center(args) -> tuple[int, dict]:
+    A, base = _canonical(args)
+    report = groups.center(groups.umax_rootset(A), A)
+    return 0, {
         **base,
         "center_indices": [i + 1 for i in report.indices],
         "center_roots": _rootset_json(report.roots),
     }
-    if args.format == "table":
-        _print_table(
-            [
-                f"center indices: {payload['center_indices']}",
-                "center root subgroups: "
-                + ", ".join(r.display() for r in report.roots.roots),
-            ]
-        )
-    else:
-        _print_json(payload)
-    return 0
 
 
-def _cmd_type(args) -> int:
-    A, base = _canonical(_document_from_args(args))
-    kind = groups.variety_type(A)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "type",
-        **base,
-        "type": kind,
-    }
-    if args.format == "table":
-        _print_table([f"type: {kind}"])
-    else:
-        _print_json(payload)
-    return 0
+def _center_table(p: dict) -> list[str]:
+    return [
+        f"center indices: {p['center_indices']}",
+        "center root subgroups: " + ", ".join(p["center_roots"]["display"]),
+    ]
 
 
-def _cmd_split(args) -> int:
-    A, base = _canonical(_document_from_args(args))
+def _type(args) -> tuple[int, dict]:
+    A, base = _canonical(args)
+    return 0, {**base, "type": groups.variety_type(A)}
+
+
+def _split(args) -> tuple[int, dict]:
+    A, base = _canonical(args)
     report = groups.split_projective_lines(A)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "split",
+    rest = report.remaining
+    return 0, {
         **base,
         "projective_lines": report.b,
         "removed_columns": [i + 1 for i in report.removed_columns],
         "removed_rays": [A.n + k + 1 for k in report.removed_rows],
-        "remaining_ray_matrix": (
-            None if report.remaining is None else [list(r) for r in report.remaining.rows]
-        ),
-        "remaining_n": None if report.remaining is None else report.remaining.n,
+        "remaining_ray_matrix": None if rest is None else [list(r) for r in rest.rows],
+        "remaining_n": None if rest is None else rest.n,
     }
-    if args.format == "table":
-        rest = payload["remaining_ray_matrix"]
-        _print_table(
-            [
-                f"projective-line factors: {report.b}",
-                f"remaining ray matrix: {rest if rest is not None else 'point'}",
-            ]
-        )
-    else:
-        _print_json(payload)
-    return 0
 
 
-def _cmd_verify(args) -> int:
-    A, base = _canonical(_document_from_args(args))
+def _split_table(p: dict) -> list[str]:
+    rest = p["remaining_ray_matrix"]
+    return [
+        f"projective-line factors: {p['projective_lines']}",
+        f"remaining ray matrix: {rest if rest is not None else 'point'}",
+    ]
+
+
+def _verify(args) -> tuple[int, dict]:
+    A, base = _canonical(args)
     checks = coxaction.verify_all(A)
     ok = all(c.ok for c in checks)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+    return 0 if ok else 1, {
         **base,
-        "checks": [
-            {"name": c.name, "cases": c.cases, "ok": c.ok} for c in checks
-        ],
+        "checks": [{"name": c.name, "cases": c.cases, "ok": c.ok} for c in checks],
         "ok": ok,
     }
-    if args.format == "table":
-        lines = [
-            f"{c.name}: {'ok' if c.ok else 'FAILED'} ({c.cases} cases)" for c in checks
-        ]
-        lines.append("all checks passed" if ok else "verification FAILED")
-        _print_table(lines)
-    else:
-        _print_json(payload)
-    return 0 if ok else 1
 
 
-def _cmd_surface(args) -> int:
+def _verify_table(p: dict) -> list[str]:
+    lines = [
+        f"{c['name']}: {'ok' if c['ok'] else 'FAILED'} ({c['cases']} cases)"
+        for c in p["checks"]
+    ]
+    lines.append("all checks passed" if p["ok"] else "verification FAILED")
+    return lines
+
+
+def _surface(args) -> tuple[int, dict]:
     if args.enumerate:
+        if args.sequence is not None or args.input is not None:
+            raise InputError("conflicting-flags: --enumerate takes no --sequence or --input")
+        if args.max_q is not None and args.max_q < 0:
+            raise InputError(f"bad-max-q: --max-q must be at least 0, got {args.max_q}")
         max_m = args.max_m if args.max_m is not None else 6
         listed = surfaces.enumerate_smooth_surfaces(max_m, args.max_q)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "surface",
+        return 0, {
             "max_m": max_m,
             "max_q": args.max_q if args.max_q is not None else max_m,
             "count": len(listed),
             "sequences": [list(s.c) for s in listed],
             "radiant": [surfaces.is_radiant_sequence(s) for s in listed],
         }
-        if args.format == "table":
-            lines = [f"smooth complete toric surfaces with m <= {max_m}: {len(listed)}"]
-            for s in listed:
-                tag = "radiant" if surfaces.is_radiant_sequence(s) else "not radiant"
-                lines.append(f"  {list(s.c)}  ({tag})")
-            _print_table(lines)
-        else:
-            _print_json(payload)
-        return 0
+    if args.max_m is not None or args.max_q is not None:
+        raise InputError("conflicting-flags: --max-m and --max-q need --enumerate")
     if args.sequence is None and args.input is None:
         raise InputError("surface needs --sequence, --input or --enumerate")
     doc = _document_from_args(args)
@@ -543,27 +422,12 @@ def _cmd_surface(args) -> int:
         raise InputError("surface expects a sequence input")
     seq = surfaces.SurfaceSequence.of(doc["sequence"])
     surfaces.sequence_to_rays(seq)  # validate before the radiance gate
+    head = {"sequence": list(seq.c), "m": seq.m, "picard_rank": seq.picard_rank}
     if not surfaces.is_radiant_sequence(seq):
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "surface",
-            "sequence": list(seq.c),
-            "m": seq.m,
-            "picard_rank": seq.picard_rank,
-            "radiant": False,
-        }
-        if args.format == "table":
-            _print_table([f"sequence {list(seq.c)}: not radiant"])
-        else:
-            _print_json(payload)
-        return 1
+        return 1, {**head, "radiant": False}
     report = surfaces.surface_report(seq)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "surface",
-        "sequence": list(seq.c),
-        "m": report.m,
-        "picard_rank": report.picard_rank,
+    return 0, {
+        **head,
         "radiant": True,
         "type": report.type,
         "d": report.d,
@@ -576,30 +440,77 @@ def _cmd_surface(args) -> int:
         "subgroup_count": len(report.subgroups),
         "subgroups": [_rootset_json(rs) for rs in report.subgroups],
     }
-    if args.format == "table":
-        _print_table(
-            [
-                f"sequence {list(seq.c)}: radiant, type {report.type}",
-                f"ray matrix: {payload['ray_matrix']}",
-                f"d: {report.d}",
-                f"U_max = {report.umax_shape.display()}",
-                f"nilpotency class: {report.nilpotency_class}",
-                f"open-orbit subgroups: {len(report.subgroups)}",
-            ]
-        )
-    else:
-        _print_json(payload)
-    return 0
+
+
+def _surface_table(p: dict) -> list[str]:
+    if "sequences" in p:
+        return [f"smooth complete toric surfaces with m <= {p['max_m']}: {p['count']}"] + [
+            f"  {s}  ({'radiant' if radiant else 'not radiant'})"
+            for s, radiant in zip(p["sequences"], p["radiant"])
+        ]
+    if not p["radiant"]:
+        return [f"sequence {p['sequence']}: not radiant"]
+    return [
+        f"sequence {p['sequence']}: radiant, type {p['type']}",
+        f"ray matrix: {p['ray_matrix']}",
+        f"d: {p['d']}",
+        f"U_max = {p['umax_display']}",
+        f"nilpotency class: {p['nilpotency_class']}",
+        f"open-orbit subgroups: {p['subgroup_count']}",
+    ]
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the command table
 
 
-def _add_fan_inputs(sub) -> None:
-    sub.add_argument("--ray-matrix", help="semicolon-separated rows of integers")
-    sub.add_argument("--rays", help="semicolon-separated rays of integers")
-    sub.add_argument("--input", help="JSON input document")
+_FORMAT = ("--format", {"choices": ["json", "table"], "default": "json"})
+_FAN = (
+    ("--ray-matrix", {"help": "semicolon-separated rows of integers"}),
+    ("--rays", {"help": "semicolon-separated rays of integers"}),
+    ("--input", {"help": "JSON input document"}),
+    _FORMAT,
+)
+
+#: name -> (compute, table, help, arguments).  ``compute(args)`` returns the
+#: exit code and the JSON payload without its header; ``table(payload)``
+#: gives the lines of any other ``--format`` (for ``dot`` the payload holds
+#: them); the arguments are ``add_argument`` calls in order.
+COMMANDS = {
+    "bilateral": (_bilateral, _bilateral_table, "decide bilateral structure / radiance", _FAN),
+    "roots": (_roots, _roots_table, "enumerate and classify all Demazure roots", _FAN),
+    "umax": (_umax, _umax_table, "shape of the maximal unipotent subgroup", _FAN),
+    "enumerate": (
+        _enumerate, _enumerate_table, "all open-orbit regular unipotent subgroups",
+        _FAN + (
+            ("--histogram", {"action": "store_true",
+                             "help": "include the dimension histogram"}),
+            ("--max-results", {"type": int, "default": groups.MAX_ENUMERATION_RESULTS}),
+        ),
+    ),
+    "series": (
+        _series, _series_table, "central and derived series of U_max",
+        _FAN[:-1] + (("--format", {"choices": ["json", "table", "dot"], "default": "json"}),),
+    ),
+    "center": (_center, _center_table, "center of U_max", _FAN),
+    "type": (_type, lambda p: [f"type: {p['type']}"],
+             "Type I (commutative U_max) or Type II", _FAN),
+    "split": (_split, _split_table, "factor off projective lines (Type I only)", _FAN),
+    "verify": (_verify, _verify_table, "symbolic verification battery", _FAN),
+    "surface": (
+        _surface, _surface_table, "analyse or enumerate smooth toric surfaces",
+        (
+            ("--sequence", {"help": "comma-separated self-intersection sequence"}),
+            ("--input", {"help": "JSON input document"}),
+            ("--enumerate", {"action": "store_true",
+                             "help": "enumerate all sequences up to --max-m"}),
+            ("--max-m", {"type": int, "default": None, "help": "ray-count cap (default 6)"}),
+            ("--max-q", {"type": int, "default": None,
+                         "help": "cap on the quadrilateral seed parameter (default max-m)"}),
+            _FORMAT,
+        ),
+    ),
+}
 
 
 @functools.cache
@@ -612,41 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
         "of complete toric varieties, from exact ray data.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    specs = [
-        ("bilateral", _cmd_bilateral, "decide bilateral structure / radiance"),
-        ("roots", _cmd_roots, "enumerate and classify all Demazure roots"),
-        ("umax", _cmd_umax, "shape of the maximal unipotent subgroup"),
-        ("enumerate", _cmd_enumerate, "all open-orbit regular unipotent subgroups"),
-        ("series", _cmd_series, "central and derived series of U_max"),
-        ("center", _cmd_center, "center of U_max"),
-        ("type", _cmd_type, "Type I (commutative U_max) or Type II"),
-        ("split", _cmd_split, "factor off projective lines (Type I only)"),
-        ("verify", _cmd_verify, "symbolic verification battery"),
-    ]
-    for name, func, help_text in specs:
+    for name, (_, _, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_fan_inputs(p)
-        fmts = ["json", "table", "dot"] if name == "series" else ["json", "table"]
-        p.add_argument("--format", choices=fmts, default="json")
-        if name == "enumerate":
-            p.add_argument("--histogram", action="store_true",
-                           help="include the dimension histogram")
-            p.add_argument("--max-results", type=int,
-                           default=groups.MAX_ENUMERATION_RESULTS)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("surface", help="analyse or enumerate smooth toric surfaces")
-    p.add_argument("--sequence", help="comma-separated self-intersection sequence")
-    p.add_argument("--input", help="JSON input document")
-    p.add_argument("--enumerate", action="store_true",
-                   help="enumerate all sequences up to --max-m")
-    p.add_argument("--max-m", type=int, default=None, help="ray-count cap (default 6)")
-    p.add_argument("--max-q", type=int, default=None,
-                   help="cap on the quadrilateral seed parameter (default max-m)")
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(func=_cmd_surface, ray_matrix=None, rays=None)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -668,8 +548,16 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_values(argv))
+    compute, table, _, _ = COMMANDS[args.cmd]
     try:
-        return args.func(args)
+        exit_code, payload = compute(args)
+        if args.format == "json":
+            header = {"schema_version": SCHEMA_VERSION, "command": args.cmd}
+            text = json.dumps({**header, **payload}, indent=2, sort_keys=True)
+        else:
+            text = "\n".join(table(payload))
+        sys.stdout.write(text + "\n")
+        return exit_code
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -31,9 +31,8 @@ from .roots import (
     KIND_ELEMENTARY,
     column_preorder,
     demazure_roots,
-    is_positive_form,
     positive_roots,
-    root_ray,
+    require_positive_root,
 )
 
 ScalarLike = Union[int, Fraction, Poly]
@@ -67,10 +66,7 @@ def theta(A: RayMatrix, root: DemazureRoot) -> tuple[int, ...]:
 @lru_cache(maxsize=1024)
 def _checked_theta(A: RayMatrix, root: DemazureRoot) -> tuple[int, ...]:
     """``theta`` of a positive root of ``A``; anything else raises."""
-    if root.ray >= A.n or not is_positive_form(root.coords, root.ray):
-        raise InputError(f"only positive roots are modelled, got {root.coords}")
-    if root_ray(A, root.coords) != root.ray:
-        raise InputError(f"not a root of this ray matrix: {root.coords}")
+    require_positive_root(A, root)
     return theta(A, root)
 
 

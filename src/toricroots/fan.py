@@ -229,10 +229,3 @@ def bilateralize(rl: RayList, max_subsets: int = MAX_BASIS_SUBSETS) -> Optional[
             matrix=matrix,
         )
     return None
-
-
-def ray_list_from_matrix(A: RayMatrix) -> RayList:
-    """Rays in bilateral order: the standard basis followed by the negated rows."""
-    units = [tuple(1 if i == j else 0 for j in range(A.n)) for i in range(A.n)]
-    negs = [tuple(-x for x in row) for row in A.rows]
-    return RayList.validate(units + negs, A.n)

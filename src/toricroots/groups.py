@@ -94,6 +94,11 @@ class RootSet:
         return (self.dimension, tuple(r.coords for r in self.roots))
 
 
+def umax_rootset(A: RayMatrix) -> RootSet:
+    """The root set of ``U_max``: every positive root of the canonical ``A``."""
+    return RootSet.of(A.n, [r for level in positive_roots(A) for r in level])
+
+
 # ---------------------------------------------------------------------------
 # the positive-root table and its closure
 
@@ -424,7 +429,7 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
     mask = _as_mask(table, M)
     if mask & table.basics != table.basics:
         raise NoOpenOrbitError(
-            "center formula needs an open orbit; use liealg.lie_center as the oracle"
+            "center formula needs an open orbit: the root set must hold every basic root"
         )
     indices = _center_indices(table.rootset(mask))
     basics = table.rootset(table.basics).roots
@@ -433,7 +438,7 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
         # for U_max the center indices are the smallest members of the
         # maximal column classes; verify
         pre = column_preorder(A)
-        expected = tuple(sorted(cls[0] for cls in pre.maximal_classes()))
+        expected = tuple(sorted(cls[0] for cls in pre.maximal_classes(pre.classes)))
         if expected != indices:
             raise InvariantViolation(
                 f"center indices {indices} disagree with maximal classes {expected}"

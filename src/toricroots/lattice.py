@@ -8,7 +8,6 @@ functions are pure; there is no floating point anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -26,18 +25,6 @@ def as_int(x) -> int:
 
 def as_vector(v: Iterable[int]) -> IntVector:
     return tuple(as_int(x) for x in v)
-
-
-def primitive_normalize(v: Iterable[int]) -> IntVector:
-    """Divide ``v`` by the gcd of its entries, keeping the direction.
-
-    The zero vector has no direction and is rejected ("zero ray").
-    """
-    vec = as_vector(v)
-    if not vec or all(x == 0 for x in vec):
-        raise InputError("zero ray", ["zero-ray"])
-    g = math.gcd(*(abs(x) for x in vec))
-    return tuple(x // g for x in vec)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -101,12 +88,12 @@ def is_unimodular_basis(vs: Sequence[Sequence[int]]) -> bool:
     return abs(det(vecs)) == 1
 
 
-def coords_in_basis(v: Sequence[int], basis: "Basis | Sequence[Sequence[int]]") -> IntVector:
+def coords_in_basis(v: Sequence[int], basis: Sequence[Sequence[int]]) -> IntVector:
     """Integer coordinates of ``v`` in a unimodular basis (Cramer's rule).
 
     Unimodularity makes every coordinate an exact integer.
     """
-    vecs = basis.vectors if isinstance(basis, Basis) else tuple(as_vector(b) for b in basis)
+    vecs = tuple(as_vector(b) for b in basis)
     vec = as_vector(v)
     n = len(vecs)
     if len(vec) != n or any(len(b) != n for b in vecs):
@@ -120,20 +107,3 @@ def coords_in_basis(v: Sequence[int], basis: "Basis | Sequence[Sequence[int]]") 
         rows = [[vec[i] if jj == j else vecs[jj][i] for jj in range(n)] for i in range(n)]
         coords.append(det(rows) * d)  # d in {+1,-1}, so division by d is multiplication
     return tuple(coords)
-
-
-@dataclass(frozen=True)
-class Basis:
-    """A unimodular basis of the ambient lattice; validated on construction."""
-
-    vectors: tuple[IntVector, ...]
-
-    def __init__(self, vectors: Iterable[Iterable[int]]):
-        vecs = tuple(as_vector(v) for v in vectors)
-        if not is_unimodular_basis(vecs):
-            raise InputError("basis is not unimodular", ["not-unimodular"])
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors)

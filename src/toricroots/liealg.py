@@ -1,6 +1,7 @@
 """Structure constants of the nilpotent Lie algebra spanned by the positive
-root derivations, and literal Lie-theoretic computations (center, central and
-derived series) used as oracles for the combinatorial formulas in ``groups``.
+root derivations.  The literal Lie-theoretic computations built on them
+(bracket tables, center, central and derived series) are the test oracles
+for the combinatorial formulas in ``groups`` and live with the tests.
 
 For positive roots ``e`` on ray ``i`` and ``f`` on ray ``j > i`` with
 ``d = <e, p_j>``:
@@ -18,29 +19,19 @@ Cox-coordinate model can cross-check signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-from .errors import InputError, InvariantViolation
+from .errors import InvariantViolation
 from .fan import RayMatrix
-from .lattice import IntVector
-from .roots import DemazureRoot, demazure_roots, is_positive_form, root_ray
-
-
-def _require_positive(A: RayMatrix, root: DemazureRoot) -> None:
-    if root.ray >= A.n or not is_positive_form(root.coords, root.ray):
-        raise InputError(f"not a positive root: {root.coords}")
-    if root_ray(A, root.coords) != root.ray:
-        raise InputError(f"not a root of this ray matrix: {root.coords}")
+from .roots import DemazureRoot, demazure_roots, require_positive_root
 
 
 def bracket(
     e: DemazureRoot, f: DemazureRoot, A: RayMatrix
 ) -> Optional[tuple[int, DemazureRoot]]:
     """Bracket of two positive root derivations, or ``None`` when zero."""
-    _require_positive(A, e)
-    _require_positive(A, f)
+    require_positive_root(A, e)
+    require_positive_root(A, f)
     if e.ray == f.ray:
         return None
     if e.ray < f.ray:
@@ -56,186 +47,3 @@ def bracket(
     if result is None:
         raise InvariantViolation(f"bracket target {total} is not a root")
     return coef, result
-
-
-@dataclass(frozen=True, eq=False)
-class BracketTable:
-    """All pairwise brackets on a bracket-closed set of positive roots."""
-
-    A: RayMatrix
-    basis: tuple[DemazureRoot, ...]
-    table: dict[tuple[IntVector, IntVector], tuple[int, DemazureRoot]]
-
-    @classmethod
-    def build(cls, A: RayMatrix, roots: Iterable[DemazureRoot]) -> "BracketTable":
-        basis = tuple(sorted(set(roots)))
-        members = {r.coords for r in basis}
-        table: dict[tuple[IntVector, IntVector], tuple[int, DemazureRoot]] = {}
-        for e in basis:
-            for f in basis:
-                if e.ray >= f.ray:
-                    continue
-                result = bracket(e, f, A)
-                if result is None:
-                    continue
-                coef, g = result
-                if g.coords not in members:
-                    raise InputError(
-                        f"root set is not bracket-closed: [{e.coords},{f.coords}] "
-                        f"lands on {g.coords}"
-                    )
-                table[(e.coords, f.coords)] = (coef, g)
-                table[(f.coords, e.coords)] = (-coef, g)
-        return cls(A=A, basis=basis, table=table)
-
-    def bracket(self, e: IntVector, f: IntVector) -> Optional[tuple[int, DemazureRoot]]:
-        return self.table.get((tuple(e), tuple(f)))
-
-    def verify_antisymmetry(self) -> bool:
-        for (e, f), (coef, g) in self.table.items():
-            rev = self.table.get((f, e))
-            if rev is None or rev[0] != -coef or rev[1] != g:
-                return False
-        return True
-
-    def verify_jacobi(self) -> bool:
-        """Exhaustively check [[a,b],c] + [[b,c],a] + [[c,a],b] = 0."""
-        roots = self.basis
-        for a in roots:
-            for b in roots:
-                for c in roots:
-                    acc: dict[IntVector, int] = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        inner = self.bracket(x.coords, y.coords)
-                        if inner is None:
-                            continue
-                        c1, g = inner
-                        outer = self.bracket(g.coords, z.coords)
-                        if outer is None:
-                            continue
-                        c2, h = outer
-                        acc[h.coords] = acc.get(h.coords, 0) + c1 * c2
-                    if any(v != 0 for v in acc.values()):
-                        return False
-        return True
-
-
-@dataclass(frozen=True)
-class LieCenter:
-    center: tuple[DemazureRoot, ...]
-    kernel_dimension: int
-
-
-def lie_center(roots: Sequence[DemazureRoot], table: BracketTable) -> LieCenter:
-    """Center of the span of the given root derivations.
-
-    Returns both the maximal subset bracketing to zero with everything and
-    the dimension of the kernel of the literal linear system for a general
-    central element; the latter is computed by exact Gaussian elimination and
-    serves as an independent check that the center is root-aligned.
-    """
-    basis = tuple(sorted(set(roots)))
-    central = tuple(
-        e for e in basis if all(table.bracket(e.coords, f.coords) is None for f in basis)
-    )
-    # Linear system: unknowns alpha_e; for each f and each target root g,
-    # sum of coef(e,f) * alpha_e over e with e+f = g must vanish.
-    columns = {e.coords: idx for idx, e in enumerate(basis)}
-    rows: list[list[Fraction]] = []
-    for f in basis:
-        by_target: dict[IntVector, list[tuple[int, int]]] = {}
-        for e in basis:
-            hit = table.bracket(e.coords, f.coords)
-            if hit is None:
-                continue
-            coef, g = hit
-            by_target.setdefault(g.coords, []).append((columns[e.coords], coef))
-        for entries in by_target.values():
-            row = [Fraction(0)] * len(basis)
-            for idx, coef in entries:
-                row[idx] += coef
-            rows.append(row)
-    kernel_dim = len(basis) - _rank_fractions(rows)
-    return LieCenter(center=central, kernel_dimension=kernel_dim)
-
-
-def _rank_fractions(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    if not mat:
-        return 0
-    width = len(mat[0])
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-@dataclass(frozen=True)
-class LieSeries:
-    lower: tuple[frozenset[IntVector], ...]
-    upper: tuple[frozenset[IntVector], ...]
-    derived: tuple[frozenset[IntVector], ...]
-
-
-def lie_series_oracle(roots: Sequence[DemazureRoot], table: BracketTable) -> LieSeries:
-    """Central and derived series computed purely from the bracket table.
-
-    Lower central series by iterated brackets with the whole algebra, upper
-    central series by iterated centralizer lifts, derived series by brackets
-    of the previous term with itself.  All spans are root-aligned because the
-    structure constants are monomial.
-    """
-    basis = tuple(sorted(set(roots)))
-    everything = frozenset(r.coords for r in basis)
-
-    def span_bracket(left: frozenset[IntVector], right: frozenset[IntVector]):
-        out = set()
-        for e in left:
-            for a in right:
-                hit = table.bracket(e, a)
-                if hit is not None:
-                    out.add(hit[1].coords)
-        return frozenset(out)
-
-    guard = len(basis) + 2
-
-    lower = [everything]
-    while lower[-1]:
-        lower.append(span_bracket(everything, lower[-1]))
-        if len(lower) > guard:
-            raise InvariantViolation("lower central series did not terminate")
-
-    derived = [everything]
-    while derived[-1]:
-        derived.append(span_bracket(derived[-1], derived[-1]))
-        if len(derived) > guard:
-            raise InvariantViolation("derived series did not terminate")
-
-    upper = [frozenset()]
-    while upper[-1] != everything:
-        prev = upper[-1]
-        nxt = frozenset(
-            a
-            for a in everything
-            if all(
-                table.bracket(a, e) is None or table.bracket(a, e)[1].coords in prev
-                for e in everything
-            )
-        )
-        if nxt == prev:
-            raise InvariantViolation("upper central series stalled; algebra not nilpotent?")
-        upper.append(nxt)
-
-    return LieSeries(lower=tuple(lower), upper=tuple(upper), derived=tuple(derived))

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import CapExceededError, InvariantViolation, NotCanonicalError
+from .errors import CapExceededError, InputError, InvariantViolation, NotCanonicalError
 from .fan import RayMatrix
 from .lattice import IntVector
 
@@ -60,15 +60,19 @@ class DemazureRoot:
         return "semisimple" if self.semisimple else "unipotent"
 
     def display(self) -> str:
-        """Human notation like ``-q1+2q3`` (1-based subscripts)."""
-        parts = []
-        for j, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            mag = "" if abs(c) == 1 else str(abs(c))
-            parts.append(("-" if c < 0 else "+") + mag + f"q{j + 1}")
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
+        return display(self.coords)
+
+
+def display(coords: Sequence[int]) -> str:
+    """Human notation like ``-q1+2q3`` for root coordinates (1-based subscripts)."""
+    parts = []
+    for j, c in enumerate(coords):
+        if c == 0:
+            continue
+        mag = "" if abs(c) == 1 else str(abs(c))
+        parts.append(("-" if c < 0 else "+") + mag + f"q{j + 1}")
+    out = "".join(parts)
+    return out[1:] if out.startswith("+") else out
 
 
 def _classify(coords: IntVector, ray: int, n: int) -> str:
@@ -251,17 +255,18 @@ class ColumnPreorder:
             out.append(cls[-1] + 1)
         return tuple(out) if out[-1] == self.n else None
 
-    def maximal_classes(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for cls in self.classes:
-            rep = cls[0]
+    def maximal_classes(self, among: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+        """The classes of ``among`` that no other class of ``among`` strictly
+        dominates."""
+        return tuple(
+            cls
+            for cls in among
             if not any(
-                self.strictly_dominates(other[0], rep)
-                for other in self.classes
+                self.strictly_dominates(other[0], cls[0])
+                for other in among
                 if other is not cls
-            ):
-                out.append(cls)
-        return tuple(out)
+            )
+        )
 
 
 def column_preorder(A: RayMatrix) -> ColumnPreorder:
@@ -308,16 +313,7 @@ def canonical_reorder(A: RayMatrix) -> tuple[tuple[int, ...], RayMatrix]:
     remaining = list(pre.classes)
     ordered: list[tuple[int, ...]] = []
     while remaining:
-        maximal = [
-            cls
-            for cls in remaining
-            if not any(
-                pre.strictly_dominates(other[0], cls[0])
-                for other in remaining
-                if other is not cls
-            )
-        ]
-        best = min(maximal, key=lambda c: (-len(c), cols[c[0]]))
+        best = min(pre.maximal_classes(remaining), key=lambda c: (-len(c), cols[c[0]]))
         ordered.append(best)
         remaining.remove(best)
     perm = tuple(i for cls in ordered for i in cls)
@@ -332,6 +328,14 @@ def is_positive_form(coords: IntVector, ray: int) -> bool:
         and all(c == 0 for c in coords[:ray])
         and all(c >= 0 for c in coords[ray + 1:])
     )
+
+
+def require_positive_root(A: RayMatrix, root: DemazureRoot) -> None:
+    """Raise ``InputError`` unless ``root`` is a positive root of ``A``."""
+    if root.ray >= A.n or not is_positive_form(root.coords, root.ray):
+        raise InputError(f"not a positive root: {root.coords}")
+    if root_ray(A, root.coords) != root.ray:
+        raise InputError(f"not a root of this ray matrix: {root.coords}")
 
 
 @lru_cache(maxsize=256)

@@ -102,20 +102,6 @@ def blow_up(seq: SurfaceSequence, s: int) -> SurfaceSequence:
     return SurfaceSequence.of(out)
 
 
-def blow_down(seq: SurfaceSequence, s: int) -> SurfaceSequence:
-    """Inverse move at a position with ``c_s = 1`` (needs m > 3)."""
-    c = list(seq.c)
-    m = len(c)
-    if c[s] != 1:
-        raise InputError("blow-down needs c_s = 1")
-    if m <= 3:
-        raise InputError("blow-down needs at least 4 entries")
-    c[(s - 1) % m] -= 1
-    c[(s + 1) % m] -= 1
-    del c[s]
-    return SurfaceSequence.of(c)
-
-
 def enumerate_smooth_surfaces(max_m: int, max_q: Optional[int] = None) -> tuple[SurfaceSequence, ...]:
     """All smooth complete toric surfaces with at most ``max_m`` rays, up to
     rotation and reflection of the sequence.
@@ -203,8 +189,7 @@ def surface_report(seq: SurfaceSequence) -> SurfaceReport:
     perm, A = roots.canonical_reorder(witness.matrix)
     pre = roots.column_preorder(A)
     pos = roots.positive_roots(A)
-    M = RootSet.of(2, [r for level in pos for r in level])
-    series = groups.series_report(M)
+    series = groups.series_report(groups.umax_rootset(A))
     enum = groups.enumerate_open_orbit_subgroups(A)
     shape = groups.umax_shape(A).shape
 

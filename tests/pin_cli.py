@@ -1,0 +1,168 @@
+"""Golden pin of the CLI's bytes.
+
+``tests/data/cli_digests.json`` holds, for a fixed list of commands, the exit
+code and the sha256 of stdout and of stderr that ``toricroots.cli.main``
+gives when called in-process.  ``tests/test_cli_pin.py`` replays the list.
+
+    PYTHONPATH=src python tests/pin_cli.py           # list the commands that differ
+    PYTHONPATH=src python tests/pin_cli.py --write   # rewrite the pinned digests
+
+Rewrite the file only in a change that alters the output on purpose.  The
+list includes argparse's own errors, whose usage text pins the order of each
+command's options; that text differs between Python versions, and the
+digests were taken with Python 3.11.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from toricroots import cli
+
+DIGESTS = Path(__file__).with_name("data") / "cli_digests.json"
+
+FANS = [
+    "3 2 1",
+    "4 3 2 1",
+    "1 1",
+    "1 0; 0 1",
+    "1 1 0; 1 0 0; 0 0 1",
+    "0 1 1; 1 0 1; 1 1 0; 1 1 1",
+    "1 1 1",
+    "2 1",
+    "4 1",
+    "1 2 3",
+    "2 1 1; 1 1 0",
+    "1 0 0; 0 0 1; 0 1 0; 0 1 1",
+    "3 1; 1 0",
+    "2 2",
+    "1 0; 0 -1",
+]
+
+RAYS = [
+    "1 0; 0 1; -1 -1",
+    "-1 -1; 1 0; 0 1",
+    "1 0; 0 1; -1 2; 0 -1",
+    "1 0 0; 0 1 0; 0 0 1; -1 -1 -1",
+    "1; -1",
+    "1 0; 0 1; -1 1; -1 0; 0 -1; 1 -1",  # the hexagon: not bilateral
+    "1 0; 0 1; -1 0",  # incomplete in rank 2
+    "1 0; 0 1",
+]
+
+FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
+                "type", "split", "verify"]
+
+SEQUENCES = [
+    "0,2,0,-2",
+    "-1,-1,-1",
+    "0,1,0,-1",
+    "0,0,0,0",
+    "1,-1,0,0,-1",
+    "-1,0,2,-1,0,0",
+    "1,1,1,1,1,1",  # not radiant
+    "0,0,0",  # does not close up
+    "1,2",
+]
+
+
+def _formats(cmd: str) -> list[str]:
+    return ["json", "table", "dot"] if cmd == "series" else ["json", "table"]
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for fan in FANS:
+        for cmd in FAN_COMMANDS:
+            out += [[cmd, "--ray-matrix", fan, "--format", f] for f in _formats(cmd)]
+    for rays in RAYS:
+        for cmd in FAN_COMMANDS:
+            out += [[cmd, f"--rays={rays}", "--format", f] for f in _formats(cmd)]
+    for fan in ["3 2 1", "2 1 1; 1 1 0", "1 1 0; 1 0 0; 0 0 1"]:
+        for f in ("json", "table"):
+            out += [
+                ["enumerate", "--ray-matrix", fan, "--histogram", "--format", f],
+                ["enumerate", "--ray-matrix", fan, "--max-results", "3", "--format", f],
+                ["enumerate", "--ray-matrix", fan, "--max-results", "3", "--histogram",
+                 "--format", f],
+            ]
+    for seq in SEQUENCES:
+        out += [["surface", f"--sequence={seq}", "--format", f] for f in ("json", "table")]
+    for f in ("json", "table"):
+        out.append(["surface", "--enumerate", "--format", f])
+        out += [["surface", "--enumerate", "--max-m", str(m), "--format", f]
+                for m in range(2, 7)]
+        out.append(["surface", "--enumerate", "--max-m", "6", "--max-q", "2", "--format", f])
+    out += [
+        ["surface"],
+        ["surface", "--sequence", "-1,-1,-1"],
+        ["bilateral", "--sequence", "0,1,0,-1"],
+        ["bilateral", "--rays", "-1,-1;1,0;0,1"],
+        ["roots"],
+        ["roots", "--ray-matrix", "1 1", "--rays", "1 0; 0 1; -1 -1"],
+        ["roots", "--ray-matrix", "1_0 1"],
+        ["roots", "--ray-matrix", "1 2; 3"],
+        ["roots", "--ray-matrix", "99999999999 1 1"],
+        ["enumerate", "--ray-matrix", "1 1", "--max-results", "0"],
+        ["enumerate", "--ray-matrix", "1 1", "--max-results", "x"],
+        ["roots", "--ray-matrix", "1 1", "--format", "dot"],
+        ["series", "--ray-matrix", "1 1", "--format", "xml"],
+        ["nosuchcommand"],
+        [],
+    ]
+    return out
+
+
+def digest(argv: list[str]) -> dict:
+    """Exit code and sha256 of stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to this width
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's own errors
+                code = exc.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
+    }
+
+
+def load() -> list[dict]:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--write"]:
+        entries = [digest(a) for a in commands()]
+        DIGESTS.parent.mkdir(exist_ok=True)
+        lines = ",\n".join(json.dumps(e) for e in entries)  # one command a line
+        DIGESTS.write_text("[\n" + lines + "\n]\n", encoding="utf-8")
+        print(f"wrote {len(entries)} digests to {DIGESTS}")
+        return 0
+    if argv:
+        print(__doc__)
+        return 2
+    differ = [e["argv"] for e in load() if digest(e["argv"]) != e]
+    for a in differ:
+        print("differs:", " ".join(a))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -13,10 +13,9 @@ from toricroots import (
     series_report,
 )
 from toricroots.groups import root_graph
-from toricroots.liealg import BracketTable, lie_center, lie_series_oracle
 from toricroots.roots import KIND_ELEMENTARY, column_preorder
 
-from oracles import box_scan_roots
+from oracles import BracketTable, box_scan_roots, lie_center, lie_series_oracle
 
 ENUM_ORACLE_LIMIT = 14  # brute-force subset filtering is feasible up to here
 SAMPLED_SUBGROUPS = 20  # graph invariants checked on this many enumerated sets

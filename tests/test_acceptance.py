@@ -16,7 +16,14 @@ from conftest import (
     projective_space,
     random_ray_matrices,
 )
-from oracles import box_scan_roots, brute_force_open_orbit_rootsets, literal_sum_triples
+from oracles import (
+    BracketTable,
+    box_scan_roots,
+    brute_force_open_orbit_rootsets,
+    lie_center,
+    lie_series_oracle,
+    literal_sum_triples,
+)
 
 from toricroots import (
     ResultCapError,
@@ -41,7 +48,6 @@ from toricroots.coxaction import (
     verify_conjugation,
 )
 from toricroots.groups import block
-from toricroots.liealg import BracketTable, lie_center, lie_series_oracle
 from toricroots.roots import column_preorder
 
 

@@ -244,6 +244,12 @@ def test_root_cap_exits_one_without_traceback(capsys):
         (["roots"], {"n": 2, "rays": [[1, "a"], [0, 1], [-1, -1]]}, "non-integer: 'a' "),
         (["surface"], {"sequence": 5}, "bad-shape: 'sequence' "),
         (["enumerate", "--ray-matrix", "1 1", "--max-results", "-1"], None, "bad-max-results: "),
+        (["surface", "--enumerate", "--max-m", "5", "--max-q", "-3"], None, "bad-max-q: "),
+        (["surface", "--sequence=0,2,0,-2", "--max-m", "3"], None, "conflicting-flags: "),
+        (["surface", "--sequence=0,2,0,-2", "--max-q", "1"], None, "conflicting-flags: "),
+        (["surface", "--enumerate", "--sequence=0,2,0,-2", "--max-m", "4"], None,
+         "conflicting-flags: "),
+        (["surface", "--enumerate"], {"sequence": [0, 1, 0, -1]}, "conflicting-flags: "),
     ],
 )
 def test_input_faults_exit_two_with_named_violation(tmp_path, capsys, argv, doc, violation):

@@ -10,10 +10,17 @@ from toricroots import (
     bilateralize,
     validate_ray_matrix,
 )
-from toricroots.fan import CapExceededError, ray_list_from_matrix
+from toricroots.fan import CapExceededError
 from toricroots.lattice import coords_in_basis, is_unimodular_basis
 
 from conftest import random_ray_matrices
+
+
+def ray_list_from_matrix(A):
+    """Rays in bilateral order: the standard basis followed by the negated rows."""
+    units = [tuple(1 if i == j else 0 for j in range(A.n)) for i in range(A.n)]
+    negs = [tuple(-x for x in row) for row in A.rows]
+    return RayList.validate(units + negs, A.n)
 
 
 def test_validate_accepts_known_matrices():

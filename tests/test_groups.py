@@ -35,7 +35,12 @@ from conftest import (
     projective_space,
     random_ray_matrices,
 )
-from oracles import brute_force_open_orbit_rootsets, level_mask_rootsets
+from oracles import (
+    BracketTable,
+    brute_force_open_orbit_rootsets,
+    level_mask_rootsets,
+    lie_series_oracle,
+)
 
 
 def rootset(A, coords_list):
@@ -212,8 +217,6 @@ def test_enumeration_cap_boundary(rows):
 
 
 def test_series_matches_lie_oracle_on_weighted_space_sample():
-    from toricroots.liealg import BracketTable, lie_series_oracle
-
     A = validate_ray_matrix([[4, 3, 2, 1]], 4)
     subgroups = enumerate_open_orbit_subgroups(A).subgroups
     for M in subgroups[::60] + subgroups[-3:]:
@@ -386,8 +389,6 @@ def test_series_upper_and_lower_can_differ():
     # the upper series middle term is the center, per the pairing formula
     assert center(M, A).roots.coords == {(-1, 0, 0), (0, -1, 0)}
     # and the literal Lie computation agrees with both series
-    from toricroots.liealg import BracketTable, lie_series_oracle
-
     table = BracketTable.build(A, M.roots)
     lie = lie_series_oracle(M.roots, table)
     assert tuple(t.coords for t in report.lower) == lie.lower

@@ -3,36 +3,7 @@ import random
 import pytest
 
 from toricroots import InputError, RayList, SurfaceSequence, validate_ray_matrix
-from toricroots.lattice import (
-    Basis,
-    coords_in_basis,
-    det,
-    is_unimodular_basis,
-    primitive_normalize,
-    rank,
-)
-
-
-def test_primitive_normalize_divides_by_gcd():
-    assert primitive_normalize((2, 4)) == (1, 2)
-    assert primitive_normalize((1, 0, 0)) == (1, 0, 0)
-    assert primitive_normalize((-3, -2, -1)) == (-3, -2, -1)
-    assert primitive_normalize((-6, 9)) == (-2, 3)
-
-
-def test_primitive_normalize_rejects_zero():
-    with pytest.raises(InputError, match="zero ray"):
-        primitive_normalize((0, 0, 0))
-
-
-def test_primitive_normalize_idempotent():
-    rng = random.Random(7)
-    for _ in range(200):
-        v = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
-        if not any(v):
-            continue
-        once = primitive_normalize(v)
-        assert primitive_normalize(once) == once
+from toricroots.lattice import coords_in_basis, det, is_unimodular_basis, rank
 
 
 def test_unimodular_basis_examples():
@@ -96,13 +67,6 @@ def test_coords_reconstruct_vector():
 def test_coords_in_basis_rejects_non_unimodular():
     with pytest.raises(InputError, match="not unimodular"):
         coords_in_basis((1, 1), [(2, 0), (0, 1)])
-
-
-def test_basis_validates():
-    b = Basis([(1, 0), (1, 1)])
-    assert b.n == 2
-    with pytest.raises(InputError):
-        Basis([(2, 0), (0, 1)])
 
 
 def test_det_matches_permutation_expansion():

@@ -1,9 +1,10 @@
 import pytest
 
 from toricroots import InputError, demazure_roots, positive_roots, validate_ray_matrix
-from toricroots.liealg import BracketTable, bracket, lie_center, lie_series_oracle
+from toricroots.liealg import bracket
 
 from conftest import positive_rootset, random_ray_matrices
+from oracles import BracketTable, lie_center, lie_series_oracle
 
 
 def find(A, coords):

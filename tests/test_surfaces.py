@@ -12,11 +12,24 @@ from toricroots import (
     surface_report,
 )
 from toricroots.groups import AbelianPower, Semidirect, TriangularBlock
-from toricroots.surfaces import blow_down
 
 
 def seq(*values):
     return SurfaceSequence.of(values)
+
+
+def blow_down(seq: SurfaceSequence, s: int) -> SurfaceSequence:
+    """Inverse move at a position with ``c_s = 1`` (needs m > 3)."""
+    c = list(seq.c)
+    m = len(c)
+    if c[s] != 1:
+        raise InputError("blow-down needs c_s = 1")
+    if m <= 3:
+        raise InputError("blow-down needs at least 4 entries")
+    c[(s - 1) % m] -= 1
+    c[(s + 1) % m] -= 1
+    del c[s]
+    return SurfaceSequence.of(c)
 
 
 def test_sequence_to_rays_triangle():
