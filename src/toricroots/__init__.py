@@ -32,7 +32,6 @@ from .groups import (
     uss_shape,
     variety_type,
 )
-from .lattice import coords_in_basis, is_unimodular_basis
 from .roots import (
     DemazureRoot,
     canonical_reorder,

@@ -23,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import coxaction, groups, roots, surfaces
-from .errors import DomainError, InputError, NotBilateralError, ResultCapError, ToricError
+from .errors import DomainError, InputError, NotBilateralError, NotRadiantError, ResultCapError, ToricError
 from .fan import Bilateralization, RayList, RayMatrix, bilateralize
 from .groups import AbelianPower, DirectProduct, RootGraph, RootSet, Semidirect, TriangularBlock
 from .lattice import as_int
@@ -421,11 +421,11 @@ def _surface(args) -> tuple[int, dict]:
     if "sequence" not in doc:
         raise InputError("surface expects a sequence input")
     seq = surfaces.SurfaceSequence.of(doc["sequence"])
-    surfaces.sequence_to_rays(seq)  # validate before the radiance gate
     head = {"sequence": list(seq.c), "m": seq.m, "picard_rank": seq.picard_rank}
-    if not surfaces.is_radiant_sequence(seq):
+    try:
+        report = surfaces.surface_report(seq)  # an invalid sequence raises InputError first
+    except NotRadiantError:
         return 1, {**head, "radiant": False}
-    report = surfaces.surface_report(seq)
     return 0, {
         **head,
         "radiant": True,

@@ -14,6 +14,21 @@ exactly when its fan is bilateral.  For ``n <= 2`` the completeness of the
 ambient fan is verified here from the ray set alone; for ``n >= 3`` it is the
 caller's responsibility, and a negative answer certifies non-radiance only
 under that assumption (see README).
+
+The search works on facets.  For ``n - 1`` rays ``F`` let ``w`` be the
+integer normal with ``<w, r> = +-det(F + [r])``.  Coordinate ``j`` of a ray in
+a basis ``B`` is ``<w_j, r> / <w_j, b_j>`` for the facet ``F_j = B - {b_j}``
+(Cramer's rule), so ``B`` is a bilateral witness exactly when, for every
+``j``, ``b_j`` is the only ray strictly on its side of ``span(F_j)``,
+``|<w_j, b_j>| = 1`` (unimodularity) and some ray lies strictly on the other
+side (no zero column).  ``bilateralize`` scans the ``(n-1)``-subsets in
+lexicographic order, keeping the fraction-free elimination of each prefix
+and reducing only the new row, completes each by its lone rays of larger
+index and checks the other facets of the candidate; the first basis that
+passes is the lexicographically first witness.  Each facet is checked at
+most once, so the work is ``C(m, n-1)`` facets at most (against ``C(m, n)``
+bases), each scan of the rays stopping once neither side can hold a lone
+ray; ``MAX_FACET_NORMALS`` caps the facets checked.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional
 
 from . import lattice
@@ -33,8 +49,9 @@ from .errors import (
 )
 from .lattice import IntVector
 
-#: Default cap on the number of candidate basis subsets tried by bilateralize.
-MAX_BASIS_SUBSETS = 2_000_000
+#: Default budget of facets that bilateralize checks (normal computed, rays
+#: classified); each facet is checked at most once.
+MAX_FACET_NORMALS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -182,17 +199,104 @@ def _check_planar_completeness(rays: tuple[IntVector, ...]) -> None:
             )
 
 
-def bilateralize(rl: RayList, max_subsets: int = MAX_BASIS_SUBSETS) -> Optional[Bilateralization]:
+def _eliminate(state, row: IntVector):
+    """One fraction-free (Bareiss) elimination step with column pivoting.
+
+    ``state`` holds, for each column not pivoted yet, the linear form that
+    gives a row's entry there after the steps so far, and the last pivot.
+    The step pivots ``row`` on its first such column with a nonzero entry;
+    ``None`` stands for linearly dependent rows.  After the ``n - 1`` rows of
+    a facet one form ``w`` is left, and ``<w, r> = +-det(rows + [r])``
+    (Sylvester's identity makes every division exact)."""
+    if state is None:
+        return None
+    forms, prev = state
+    values = [sum(map(mul, f, row)) for f in forms]
+    k = next((i for i, v in enumerate(values) if v), None)
+    if k is None:
+        return None
+    pivot, pivot_form = values[k], forms[k]
+    return [
+        tuple((x * pivot - y * v) // prev for x, y in zip(f, pivot_form))
+        for i, (f, v) in enumerate(zip(forms, values)) if i != k
+    ], pivot
+
+
+def _lone_rays(w: IntVector, rays: tuple[IntVector, ...]) -> tuple[int, ...]:
+    """Indices of the rays that lie alone strictly on their side of
+    ``<w, .> = 0``, pair with ``w`` to +-1 and have a ray strictly on the
+    other side.  The scan stops once neither side can hold such a ray: it
+    holds two rays, or one that pairs to more than 1."""
+    seen = [0, 0]  # rays strictly on the positive and the negative side
+    lone = [None, None]  # the ray on each side while it may be the answer
+    for i, r in enumerate(rays):
+        v = sum(map(mul, w, r))
+        if v:
+            side = v < 0
+            seen[side] += 1
+            lone[side] = i if seen[side] == 1 and (v == 1 or v == -1) else None
+            if lone[0] is None and lone[1] is None and seen[0] and seen[1]:
+                return ()
+    return tuple(sorted(lone[s] for s in (0, 1) if lone[s] is not None and seen[1 - s]))
+
+
+def _witness_basis(rays: tuple[IntVector, ...], n: int, max_normals: int):
+    """The lexicographically first bilateral basis (sorted indices) and the
+    normal of each facet ``basis - {basis[j]}``, or ``None``."""
+    checked = 0
+    ahead: dict[tuple[int, ...], tuple] = {}  # facets checked before the scan reaches them
+
+    @functools.lru_cache(maxsize=64)  # the scan walks the prefixes depth first
+    def reduced(prefix):
+        if not prefix:
+            return [tuple(int(i == j) for j in range(n)) for i in range(n)], 1
+        return _eliminate(reduced(prefix[:-1]), rays[prefix[-1]])
+
+    def check(facet):
+        nonlocal checked
+        checked += 1
+        if checked > max_normals:
+            raise CapExceededError(
+                f"facet search cap exceeded: more than {max_normals} facets checked"
+            )
+        state = _eliminate(reduced(facet[:-1]), rays[facet[-1]]) if facet else reduced(())
+        if state is None:  # the facet's rays are dependent: no ray pairs to +-1
+            return None, ()
+        w = state[0][0]
+        return w, _lone_rays(w, rays)
+
+    # the facets that leave room for a larger ray, in lexicographic order
+    for facet in itertools.combinations(range(len(rays) - 1), n - 1):
+        w, lone = ahead.pop(facet, None) or check(facet)
+        for p in lone:
+            if facet and p < facet[-1]:
+                continue
+            basis = facet + (p,)
+            normals = []
+            for j in range(n - 1):
+                other = basis[:j] + basis[j + 1:]
+                if other not in ahead:
+                    ahead[other] = check(other)
+                w_j, lone_j = ahead[other]
+                if basis[j] not in lone_j:
+                    break
+                normals.append(w_j)
+            else:
+                return basis, normals + [w]
+    return None
+
+
+def bilateralize(rl: RayList, max_normals: int = MAX_FACET_NORMALS) -> Optional[Bilateralization]:
     """Search for bilateral structure in a ray list.
 
     Returns the witness for the lexicographically first index subset whose
     rays form a unimodular basis with every other ray in the closed negative
-    orthant, or ``None`` when no such subset exists (for the ray set of a
-    complete fan this certifies that the variety is not radiant).
-
-    Candidate subsets whose induced matrix would contain a zero column are
-    skipped: a zero column would mean some coordinate functional is
-    non-negative on every ray, which is impossible for a complete fan.
+    orthant and no coordinate zero on all of them (a zero column would mean
+    some coordinate functional is non-negative on every ray, which is
+    impossible for a complete fan), or ``None`` when no such subset exists
+    (for the ray set of a complete fan this certifies that the variety is
+    not radiant).  The facet search (module docstring) checks at most
+    ``max_normals`` facets and raises ``CapExceededError`` beyond that.
     """
     n, m = rl.n, rl.m
     if lattice.rank(rl.rays) < n:
@@ -202,30 +306,16 @@ def bilateralize(rl: RayList, max_subsets: int = MAX_BASIS_SUBSETS) -> Optional[
             raise IncompleteFanError("fan not complete: both directions required in rank 1")
     elif n == 2:
         _check_planar_completeness(rl.rays)
-    if math.comb(m, n) > max_subsets:
-        raise CapExceededError(
-            f"basis search cap exceeded: C({m},{n}) > {max_subsets}"
-        )
-    for subset in itertools.combinations(range(m), n):
-        basis = [rl.rays[i] for i in subset]
-        if not lattice.is_unimodular_basis(basis):
-            continue
-        rest = [i for i in range(m) if i not in subset]
-        rows = []
-        for i in rest:
-            coords = lattice.coords_in_basis(rl.rays[i], basis)
-            if any(c > 0 for c in coords):
-                rows = None
-                break
-            rows.append(tuple(-c for c in coords))
-        if rows is None:
-            continue
-        if any(all(row[j] == 0 for row in rows) for j in range(n)):
-            continue  # not the ray matrix of a complete fan
-        matrix = RayMatrix.validate(rows, n)
-        return Bilateralization(
-            basis_indices=tuple(subset),
-            ray_order=tuple(subset) + tuple(rest),
-            matrix=matrix,
-        )
-    return None
+    found = _witness_basis(rl.rays, n, max_normals)
+    if found is None:
+        return None
+    basis, normals = found
+    # coordinate j of a ray r is <w_j, r> <w_j, b_j>, and <w_j, b_j> = +-1
+    signs = [sum(map(mul, w, rl.rays[b])) for w, b in zip(normals, basis)]
+    negated_duals = [[-s * x for x in w] for w, s in zip(normals, signs)]
+    rest = tuple(i for i in range(m) if i not in basis)
+    rows = tuple(tuple(sum(map(mul, u, rl.rays[i])) for u in negated_duals) for i in rest)
+    # the facet conditions give every ray-matrix invariant: the rows are the
+    # negated coordinates of distinct primitive rays in a lattice basis, all
+    # >= 0, and each column has a nonzero entry
+    return Bilateralization(basis_indices=basis, ray_order=basis + rest, matrix=RayMatrix(n, rows))

@@ -20,9 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import groups, lattice, roots
-from .errors import InputError, InvariantViolation, NotRadiantError
+from .errors import CapExceededError, InputError, InvariantViolation, NotRadiantError
 from .fan import Bilateralization, RayList, RayMatrix, angle_less, bilateralize
 from .groups import GroupShape, RootSet
+
+#: Cap on the number of sequences ``enumerate_smooth_surfaces`` lists
+#: (44 672 for ``max_m = 12``).
+MAX_SURFACE_SEQUENCES = 50_000
 
 
 @dataclass(frozen=True)
@@ -102,18 +106,29 @@ def blow_up(seq: SurfaceSequence, s: int) -> SurfaceSequence:
     return SurfaceSequence.of(out)
 
 
+def _sequence_cap_error() -> CapExceededError:
+    return CapExceededError(
+        f"surface enumeration cap exceeded: more than {MAX_SURFACE_SEQUENCES} "
+        f"sequences (MAX_SURFACE_SEQUENCES)"
+    )
+
+
 def enumerate_smooth_surfaces(max_m: int, max_q: Optional[int] = None) -> tuple[SurfaceSequence, ...]:
     """All smooth complete toric surfaces with at most ``max_m`` rays, up to
     rotation and reflection of the sequence.
 
     Infinitely many quadrilateral seeds exist, so the seed parameter ``q`` is
     capped (default ``max_q = max_m``); surfaces reachable only from larger
-    seeds are out of the enumerated range.
+    seeds are out of the enumerated range.  More than
+    ``MAX_SURFACE_SEQUENCES`` sequences raise ``CapExceededError``, before
+    any seed is built when the seeds alone are too many.
     """
     if max_m < 3:
         raise InputError("max_m must be at least 3")
     if max_q is None:
         max_q = max_m
+    if 1 + (max_q + 1 if max_m >= 4 else 0) > MAX_SURFACE_SEQUENCES:
+        raise _sequence_cap_error()  # the seeds are pairwise inequivalent
     seeds = [SurfaceSequence.of((-1, -1, -1))]
     if max_m >= 4:
         seeds += [SurfaceSequence.of((0, q, 0, -q)) for q in range(max_q + 1)]
@@ -139,6 +154,8 @@ def enumerate_smooth_surfaces(max_m: int, max_q: Optional[int] = None) -> tuple[
                 sequence_to_rays(child)
                 seen[key] = child
                 frontier.append(child)
+                if len(seen) > MAX_SURFACE_SEQUENCES:
+                    raise _sequence_cap_error()
     return tuple(
         sorted(seen.values(), key=lambda sq: (sq.m, sq.canonical()))
     )

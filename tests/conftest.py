@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from toricroots import RootSet, positive_roots, validate_ray_matrix
+from toricroots import RayList, RootSet, positive_roots, validate_ray_matrix
 from toricroots.roots import canonical_reorder
 
 # Seeds are fixed so the "random" fixtures are identical on every run.
@@ -66,3 +66,36 @@ def random_ray_matrices(count, seed, max_n=4, max_rows=3, max_entry=3):
         _, A = canonical_reorder(validate_ray_matrix(rows, n))
         out.append(A)
     return out
+
+
+def random_ray_list(n, m, seed, positive_ray=False, max_entry=3):
+    """Deterministic bilateral ray list of rank ``n`` with ``m`` rays: the
+    standard basis and the negated rows of a random ray matrix, under a
+    seeded unimodular transform (``n`` elementary row operations and a
+    signed permutation), shuffled.  ``positive_ray`` adds the image of
+    ``(1,...,1)`` as ray ``m + 1``, which usually leaves no witness.  Rank 1
+    has one ray matrix row, so ``m = 2`` there."""
+    rng = random.Random(seed)
+    while True:
+        rows = set()
+        while len(rows) < m - n:
+            row = tuple(rng.randint(0, max_entry) for _ in range(n))
+            if any(row) and math.gcd(*row) == 1:
+                rows.add(row)
+        rows = sorted(rows)
+        if all(any(r[j] for r in rows) for j in range(n)):
+            break
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays += [tuple(-x for x in r) for r in rows]
+    if positive_ray:
+        rays.append((1,) * n)
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        T[i] = [a + c * b for a, b in zip(T[i], T[j])]
+    rng.shuffle(T)
+    T = [[x * s for x in row] for row, s in zip(T, [rng.choice((-1, 1)) for _ in T])]
+    rays = [tuple(sum(t * x for t, x in zip(trow, r)) for trow in T) for r in rays]
+    rng.shuffle(rays)
+    return RayList.validate(rays, n)

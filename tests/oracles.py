@@ -9,6 +9,10 @@ multiply dense matrices, the way the library did before its sparse paths.
 The Lie-algebra oracles build the literal bracket table of the positive root
 derivations from ``toricroots.liealg.bracket`` and compute centers and
 central and derived series from it by linear algebra and iterated brackets.
+The bilateral oracle tries every ``n``-subset of the rays as a basis, with
+Bareiss determinants and Cramer's rule (``det``, ``is_unimodular_basis``,
+``coords_in_basis``), the way ``toricroots.fan.bilateralize`` did before its
+facet search.
 """
 
 import itertools
@@ -17,8 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from toricroots import InputError, InvariantViolation, RootSet, positive_roots
-from toricroots.fan import RayMatrix
-from toricroots.lattice import IntVector
+from toricroots.fan import Bilateralization, RayList, RayMatrix
+from toricroots.lattice import IntVector, as_vector
 from toricroots.liealg import bracket
 from toricroots.poly import Poly
 from toricroots.roots import DemazureRoot
@@ -403,3 +407,87 @@ def lie_series_oracle(roots: Sequence[DemazureRoot], table: BracketTable) -> Lie
         upper.append(nxt)
 
     return LieSeries(lower=tuple(lower), upper=tuple(upper), derived=tuple(derived))
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    a = [list(map(int, row)) for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise InputError("determinant needs a square matrix", ["bad-shape"])
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular_basis(vs: Sequence[Sequence[int]]) -> bool:
+    """True iff the vectors form a lattice basis (integer determinant +-1)."""
+    vecs = [as_vector(v) for v in vs]
+    n = len(vecs)
+    if any(len(v) != n for v in vecs):
+        raise InputError("vector length mismatch", ["bad-shape"])
+    return abs(det(vecs)) == 1
+
+
+def coords_in_basis(v: Sequence[int], basis: Sequence[Sequence[int]]) -> IntVector:
+    """Integer coordinates of ``v`` in a unimodular basis (Cramer's rule).
+
+    Unimodularity makes every coordinate an exact integer.
+    """
+    vecs = tuple(as_vector(b) for b in basis)
+    vec = as_vector(v)
+    n = len(vecs)
+    if len(vec) != n or any(len(b) != n for b in vecs):
+        raise InputError("vector length mismatch", ["bad-shape"])
+    # columns of the change-of-basis matrix are the basis vectors
+    d = det([[vecs[j][i] for j in range(n)] for i in range(n)])
+    if abs(d) != 1:
+        raise InputError("basis is not unimodular", ["not-unimodular"])
+    coords = []
+    for j in range(n):
+        rows = [[vec[i] if jj == j else vecs[jj][i] for jj in range(n)] for i in range(n)]
+        coords.append(det(rows) * d)  # d in {+1,-1}, so division by d is multiplication
+    return tuple(coords)
+
+
+def subset_bilateral_witness(rl: RayList) -> Optional[Bilateralization]:
+    """The bilateral witness of the lexicographically first index subset
+    whose rays form a unimodular basis with every other ray in the closed
+    negative orthant and no zero column, or ``None``: every ``n``-subset is
+    tried, with Cramer's rule for the coordinates."""
+    n, m = rl.n, rl.m
+    for subset in itertools.combinations(range(m), n):
+        basis = [rl.rays[i] for i in subset]
+        if not is_unimodular_basis(basis):
+            continue
+        rest = [i for i in range(m) if i not in subset]
+        rows = []
+        for i in rest:
+            coords = coords_in_basis(rl.rays[i], basis)
+            if any(c > 0 for c in coords):
+                rows = None
+                break
+            rows.append(tuple(-c for c in coords))
+        if rows is None:
+            continue
+        if any(all(row[j] == 0 for row in rows) for j in range(n)):
+            continue  # not the ray matrix of a complete fan
+        return Bilateralization(
+            basis_indices=tuple(subset),
+            ray_order=tuple(subset) + tuple(rest),
+            matrix=RayMatrix.validate(rows, n),
+        )
+    return None

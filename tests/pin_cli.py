@@ -56,6 +56,24 @@ RAYS = [
     "1 0; 0 1",
 ]
 
+#: Rank 3-5 ray lists: ``conftest.random_ray_list(n, m, seed, positive_ray)``
+#: for (3, 7, 1), (3, 8, 2, True), (4, 8, 3), (4, 9, 4, True), (5, 9, 5) and
+#: (5, 10, 6, True), three radiant and three not; then a hexagon times a line
+#: (not bilateral) and a set that does not span.
+RAYS_HIGHER_RANK = [
+    "1 -1 -2; 3 2 2; 3 0 -2; -1 -1 0; 0 1 1; 3 2 1; 0 0 -1",
+    "3 -2 4; 0 -1 2; 0 1 -1; 3 1 -1; -1 0 -1; 0 1 -3; 2 -1 1; 2 1 -1; -1 0 0",
+    "-1 1 0 -1; 0 -2 1 3; 1 -4 0 3; 1 -4 1 4; 3 -4 1 4; 0 0 -1 0; 1 -1 0 0; -1 2 0 -1",
+    "1 1 1 0; 1 1 0 3; -1 -1 0 -1; 1 1 0 0; -2 -2 -3 1; 1 4 -1 5; -1 0 -1 3; 0 -1 0 -1; "
+    "1 0 1 -2; 1 1 0 2",
+    "0 0 0 0 1; -2 0 0 -1 0; 1 0 0 -1 1; 0 0 0 1 -1; -1 0 1 1 -2; 0 0 -1 0 -2; "
+    "-1 -2 1 -2 -1; -3 0 2 2 0; 0 1 0 0 1",
+    "-1 1 0 -1 0; 5 -4 -2 4 0; -2 2 1 -1 0; 0 1 0 -1 0; 0 0 0 1 0; 4 -2 -2 -1 -1; "
+    "3 -3 0 3 -2; 6 -5 -3 5 2; 0 0 0 0 1; -1 0 1 0 -1; 5 -3 -3 1 3",
+    "1 0 0; 0 1 0; -1 1 0; -1 0 0; 0 -1 0; 1 -1 0; 0 0 1; 0 0 -1",
+    "1 0 0; 0 1 0; -1 -1 0; 1 1 0",
+]
+
 FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
                 "type", "split", "verify"]
 
@@ -84,6 +102,9 @@ def commands() -> list[list[str]]:
     for rays in RAYS:
         for cmd in FAN_COMMANDS:
             out += [[cmd, f"--rays={rays}", "--format", f] for f in _formats(cmd)]
+    for rays in RAYS_HIGHER_RANK:
+        for cmd in ("bilateral", "umax"):
+            out += [[cmd, f"--rays={rays}", "--format", f] for f in ("json", "table")]
     for fan in ["3 2 1", "2 1 1; 1 1 0", "1 1 0; 1 0 0; 0 0 1"]:
         for f in ("json", "table"):
             out += [

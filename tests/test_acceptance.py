@@ -14,6 +14,7 @@ from conftest import (
     incomparable_columns_matrix,
     positive_rootset,
     projective_space,
+    random_ray_list,
     random_ray_matrices,
 )
 from oracles import (
@@ -23,12 +24,14 @@ from oracles import (
     lie_center,
     lie_series_oracle,
     literal_sum_triples,
+    subset_bilateral_witness,
 )
 
 from toricroots import (
     ResultCapError,
     bilateralize,
     center,
+    cli,
     demazure_roots,
     enumerate_open_orbit_subgroups,
     enumerate_smooth_surfaces,
@@ -293,3 +296,20 @@ def test_criterion_14_symbolic_battery_is_lean():
     assert all(c.ok for c in checks)
     assert tuple(c.cases for c in checks) == (26, 187, 187, 4)
     report(14, t, "every symbolic identity of P(1,2,3,5) verified")
+
+
+def test_criterion_15_bilateral_search_is_facet_sized(capsys):
+    rays = random_ray_list(4, 44, seed=3)
+    with Timer(1.5) as t:
+        found = bilateralize(rays)
+    expected = subset_bilateral_witness(rays)  # about 2 s on its own
+    assert found.basis_indices == expected.basis_indices
+    assert found.ray_order == expected.ray_order
+    assert found.matrix == expected.matrix
+    # C(50, 5) > 2 000 000 subsets: a subset search with that cap refused it
+    wide = random_ray_list(5, 50, seed=3)
+    text = "; ".join(" ".join(map(str, r)) for r in wide.rays)
+    assert cli.main(["bilateral", f"--rays={text}"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and '"bilateral": true' in out.out
+    report(15, t, "rank-4 fan with 44 rays: the subset oracle's witness")

@@ -235,6 +235,15 @@ def test_root_cap_exits_one_without_traceback(capsys):
     )
 
 
+def test_surface_enumeration_cap_exits_one_without_traceback(capsys):
+    code, out, err = run(capsys, "surface", "--enumerate", "--max-m", "4", "--max-q", "1000000000")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: surface enumeration cap exceeded: more than "
+        "50000 sequences (MAX_SURFACE_SEQUENCES)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, doc, violation",
     [

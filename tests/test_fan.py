@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -8,12 +10,14 @@ from toricroots import (
     InputError,
     RayList,
     bilateralize,
+    enumerate_smooth_surfaces,
+    sequence_to_rays,
     validate_ray_matrix,
 )
 from toricroots.fan import CapExceededError
-from toricroots.lattice import coords_in_basis, is_unimodular_basis
 
-from conftest import random_ray_matrices
+from conftest import random_ray_list, random_ray_matrices
+from oracles import coords_in_basis, is_unimodular_basis, subset_bilateral_witness
 
 
 def ray_list_from_matrix(A):
@@ -94,6 +98,29 @@ def test_bilateralize_hexagon_is_negative():
     assert bilateralize(rl) is None
 
 
+def test_bilateralize_skips_a_zero_column():
+    # e1, e2, e3 leave -e1-e2 in the closed negative orthant but no ray
+    # below the plane of e1, e2: column 3 would be zero.  No basis is a
+    # witness until -e3 is added.
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)]
+    assert bilateralize(RayList.validate(rays, 3)) is None
+    assert subset_bilateral_witness(RayList.validate(rays, 3)) is None
+    found = bilateralize(RayList.validate(rays + [(0, 0, -1)], 3))
+    assert found.basis_indices == (0, 1, 2)
+    assert found.matrix.rows == ((1, 1, 0), (0, 0, 1))
+
+
+def test_bilateralize_projective_spaces_of_high_rank():
+    # -(e_1 + ... + e_n) first: the first n rays are a witness, and e_n has
+    # all coordinates -1 in that basis.  The work must stay polynomial in n
+    # (all the minors of a prefix would be up to C(30, 15) numbers).
+    for n in (12, 30):
+        rays = [(-1,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        found = bilateralize(RayList.validate(rays, n))
+        assert found.basis_indices == tuple(range(n))
+        assert found.matrix.rows == ((1,) * n,)
+
+
 def test_bilateralize_needs_spanning_rays():
     rl = RayList.validate([(1, 0), (-1, 0)], 2)
     with pytest.raises(DegenerateRaysError):
@@ -108,10 +135,53 @@ def test_bilateralize_rank_one():
         bilateralize(RayList.validate([(1,)], 1))
 
 
-def test_bilateralize_subset_cap():
+def test_bilateralize_facet_budget():
+    # The scan checks facet (0,): ray 1 is alone above the line through
+    # (1,0) with determinant 1, ray 2 alone below, so the candidate basis is
+    # (0, 1); its other facet (1,) is checked ahead and passes.  Two facets.
     rl = RayList.validate([(1, 0), (0, 1), (-1, -1), (-1, 0)], 2)
-    with pytest.raises(CapExceededError):
-        bilateralize(rl, max_subsets=3)
+    with pytest.raises(CapExceededError, match="more than 1 facets checked"):
+        bilateralize(rl, max_normals=1)
+    found = bilateralize(rl, max_normals=2)
+    assert found.basis_indices == (0, 1)
+    assert found.matrix.rows == ((1, 1), (1, 0))
+
+
+def _assert_same_witness(rl):
+    expected = subset_bilateral_witness(rl)
+    # every facet is checked at most once
+    found = bilateralize(rl, max_normals=math.comb(rl.m, rl.n - 1))
+    if expected is None:
+        assert found is None, rl.rays
+    else:
+        assert found is not None, rl.rays
+        assert found.basis_indices == expected.basis_indices
+        assert found.ray_order == expected.ray_order
+        assert found.matrix.rows == expected.matrix.rows
+    return expected is not None
+
+
+def test_facet_search_matches_subset_oracle_on_surfaces():
+    rng = random.Random(8128)
+    bilateral = 0
+    listed = enumerate_smooth_surfaces(8)
+    for s in listed:
+        rays = list(sequence_to_rays(s).rays)
+        k = rng.randrange(len(rays))
+        shuffled = rng.sample(rays, len(rays))
+        for order in (rays[k:] + rays[:k], shuffled):
+            bilateral += _assert_same_witness(RayList.validate(order, 2))
+    assert len(listed) == 303 and 0 < bilateral < 2 * 303
+
+
+def test_facet_search_matches_subset_oracle_in_rank_one_to_five():
+    results = []
+    for n in range(1, 6):
+        for seed in range(32):
+            m = 2 if n == 1 else n + 2 + seed % (9 - n)
+            rl = random_ray_list(n, m, seed=1000 * n + seed, positive_ray=n > 1 and seed % 3 == 2)
+            results.append(_assert_same_witness(rl))
+    assert 0 < results.count(False) < results.count(True)
 
 
 def test_round_trip_through_ray_list(p123, f1p1):

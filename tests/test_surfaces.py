@@ -1,6 +1,7 @@
 import pytest
 
 from toricroots import (
+    CapExceededError,
     InputError,
     NotRadiantError,
     SurfaceSequence,
@@ -11,6 +12,7 @@ from toricroots import (
     sequence_to_rays,
     surface_report,
 )
+from toricroots import surfaces
 from toricroots.groups import AbelianPower, Semidirect, TriangularBlock
 
 
@@ -139,6 +141,28 @@ def test_enumeration_seed_cap():
     assert qs == list(range(10))  # q = 0..9
     with pytest.raises(InputError):
         enumerate_smooth_surfaces(2)
+
+
+def test_enumeration_sequence_cap(monkeypatch):
+    # m <= 6 from the 8 seeds of max_q = 6: 36 sequences in all
+    monkeypatch.setattr(surfaces, "MAX_SURFACE_SEQUENCES", 36)
+    assert len(enumerate_smooth_surfaces(6)) == 36
+    monkeypatch.setattr(surfaces, "MAX_SURFACE_SEQUENCES", 35)
+    with pytest.raises(CapExceededError, match="more than 35 sequences"):
+        enumerate_smooth_surfaces(6)
+
+
+def test_enumeration_cap_counts_the_seeds_first(monkeypatch):
+    # m <= 4 with max_q = 9: the 11 seeds are all the sequences
+    monkeypatch.setattr(surfaces, "MAX_SURFACE_SEQUENCES", 11)
+    assert len(enumerate_smooth_surfaces(4, max_q=9)) == 11
+    monkeypatch.setattr(surfaces, "MAX_SURFACE_SEQUENCES", 10)
+    with pytest.raises(CapExceededError, match="more than 10 sequences"):
+        enumerate_smooth_surfaces(4, max_q=9)
+    monkeypatch.undo()
+    # building 10^12 seeds would not end
+    with pytest.raises(CapExceededError):
+        enumerate_smooth_surfaces(4, max_q=10**12)
 
 
 def test_report_projective_plane():
