@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -146,6 +147,49 @@ def _canonical(args) -> tuple[RayMatrix, dict]:
 
 # ---------------------------------------------------------------------------
 # serializers
+
+
+_escape = json.encoder.encode_basestring_ascii  # C, where the stdlib has it
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_flatten = itertools.chain.from_iterable
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """``obj`` as JSON, the bytes of ``json.dumps(obj, indent=2,
+    sort_keys=True)``, whose pure-Python encoder (the only one the stdlib
+    has for ``indent``) took most of the time of a large report.  Takes
+    dicts with str keys, lists, tuples, str, int, bool and ``None``; anything
+    else (a float, a set, a non-str key) raises ``TypeError``.
+    """
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
+            items = map(_escape, obj)
+        elif kinds == {list} and all(obj) and set(map(type, _flatten(obj))) == {int}:
+            # non-empty int lists, the bulk of a subgroup list
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = ["[" + deeper + sep.join(map(int.__repr__, x)) + inner + "]" for x in obj]
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_escape(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or isinstance(obj, bool):
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _root_json(r: roots.DemazureRoot) -> dict:
@@ -553,7 +597,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         exit_code, payload = compute(args)
         if args.format == "json":
             header = {"schema_version": SCHEMA_VERSION, "command": args.cmd}
-            text = json.dumps({**header, **payload}, indent=2, sort_keys=True)
+            text = _dumps({**header, **payload})
         else:
             text = "\n".join(table(payload))
         sys.stdout.write(text + "\n")

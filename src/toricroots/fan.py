@@ -142,7 +142,7 @@ class RayList:
         for i, r in enumerate(rays):
             if all(x == 0 for x in r):
                 violations.append(f"zero-ray: ray {i + 1} is zero")
-            elif not lattice.is_primitive(r):
+            elif math.gcd(*r) != 1:
                 violations.append(f"non-primitive-ray: ray {i + 1} has entry gcd > 1")
         if len(set(rays)) != len(rays):
             violations.append("duplicate-rays: rays must be pairwise distinct")

@@ -1,13 +1,12 @@
 """Exact integer arithmetic on lattice vectors.
 
-Everything here works on tuples of Python ints, so gcd and rank
-computations are exact for arbitrarily large entries.  All functions are
-pure; there is no floating point anywhere in the package.
+Everything here works on tuples of Python ints, so rank computations are
+exact for arbitrarily large entries.  All functions are pure; there is no
+floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -25,11 +24,6 @@ def as_int(x) -> int:
 
 def as_vector(v: Iterable[int]) -> IntVector:
     return tuple(as_int(x) for x in v)
-
-
-def is_primitive(v: Sequence[int]) -> bool:
-    vec = as_vector(v)
-    return any(vec) and math.gcd(*(abs(x) for x in vec)) == 1
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:

@@ -60,7 +60,15 @@ class DemazureRoot:
         return "semisimple" if self.semisimple else "unipotent"
 
     def display(self) -> str:
-        return display(self.coords)
+        # Built once per root, since a root shows up in many subgroups'
+        # output, and kept as an instance attribute that is not a field, so
+        # out of ==, hash, ordering and repr.  Reading ``self.__dict__``
+        # would give every root a dict of its own, twice the memory.
+        cached = getattr(self, "_display", None)
+        if cached is None:
+            cached = display(self.coords)
+            object.__setattr__(self, "_display", cached)
+        return cached
 
 
 def display(coords: Sequence[int]) -> str:

@@ -12,10 +12,12 @@ central and derived series from it by linear algebra and iterated brackets.
 The bilateral oracle tries every ``n``-subset of the rays as a basis, with
 Bareiss determinants and Cramer's rule (``det``, ``is_unimodular_basis``,
 ``coords_in_basis``), the way ``toricroots.fan.bilateralize`` did before its
-facet search.
+facet search.  The CLI's JSON writer is checked against the standard
+library's encoder (``stdlib_json``), which it replaced.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -491,3 +493,8 @@ def subset_bilateral_witness(rl: RayList) -> Optional[Bilateralization]:
             matrix=RayMatrix.validate(rows, n),
         )
     return None
+
+
+def stdlib_json(obj) -> str:
+    """``obj`` in the CLI's JSON form, written by the standard library."""
+    return json.dumps(obj, indent=2, sort_keys=True)

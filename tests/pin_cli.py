@@ -74,6 +74,10 @@ RAYS_HIGHER_RANK = [
     "1 0 0; 0 1 0; -1 -1 0; 1 1 0",
 ]
 
+#: Rank-5 fans with 357 and 496 open-orbit subgroups, in a non-canonical
+#: column order: their output is mostly subgroup lists.
+LARGE_FANS = ["1 1 1 1 1; 0 0 1 2 0", "2 1 1 0 2; 2 0 2 2 1"]
+
 FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
                 "type", "split", "verify"]
 
@@ -137,6 +141,11 @@ def commands() -> list[list[str]]:
         ["nosuchcommand"],
         [],
     ]
+    for fan in LARGE_FANS:
+        out += [["enumerate", "--ray-matrix", fan, "--histogram", "--format", f]
+                for f in ("json", "table")]
+        out += [["series", "--ray-matrix", fan, "--format", f] for f in _formats("series")]
+        out += [["center", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
     return out
 
 

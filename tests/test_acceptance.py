@@ -2,6 +2,7 @@
 its runtime (visible with ``pytest -s``).  All expectations are exact; the
 stated time budgets are asserted."""
 
+import json
 import time
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from oracles import (
     lie_center,
     lie_series_oracle,
     literal_sum_triples,
+    stdlib_json,
     subset_bilateral_witness,
 )
 
@@ -313,3 +315,14 @@ def test_criterion_15_bilateral_search_is_facet_sized(capsys):
     out = capsys.readouterr()
     assert out.err == "" and '"bilateral": true' in out.out
     report(15, t, "rank-4 fan with 44 rays: the subset oracle's witness")
+
+
+def test_criterion_16_large_output_is_written_fast(capsys):
+    with Timer(1.0) as t:
+        code = cli.main(["enumerate", "--histogram", "--ray-matrix", "4 3 2 1"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    doc = json.loads(out.out)
+    assert doc["count"] == len(doc["subgroups"]) == 1193
+    assert out.out == stdlib_json(doc) + "\n"
+    report(16, t, f"1193 subgroups of P(1,2,3,4): {len(out.out)} bytes of JSON")
