@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import re
 import sys
@@ -27,6 +26,7 @@ from . import coxaction, groups, roots, surfaces
 from .errors import DomainError, InputError, NotBilateralError, NotRadiantError, ResultCapError, ToricError
 from .fan import Bilateralization, RayList, RayMatrix, bilateralize
 from .groups import AbelianPower, DirectProduct, RootGraph, RootSet, Semidirect, TriangularBlock
+from .jsonout import dumps
 from .lattice import as_int
 
 SCHEMA_VERSION = 1
@@ -149,52 +149,9 @@ def _canonical(args) -> tuple[RayMatrix, dict]:
 # serializers
 
 
-_escape = json.encoder.encode_basestring_ascii  # C, where the stdlib has it
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-_flatten = itertools.chain.from_iterable
-
-
-def _dumps(obj, indent: str = "\n") -> str:
-    """``obj`` as JSON, the bytes of ``json.dumps(obj, indent=2,
-    sort_keys=True)``, whose pure-Python encoder (the only one the stdlib
-    has for ``indent``) took most of the time of a large report.  Takes
-    dicts with str keys, lists, tuples, str, int, bool and ``None``; anything
-    else (a float, a set, a non-str key) raises ``TypeError``.
-    """
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            items = map(int.__repr__, obj)
-        elif kinds == {str}:
-            items = map(_escape, obj)
-        elif kinds == {list} and all(obj) and set(map(type, _flatten(obj))) == {int}:
-            # non-empty int lists, the bulk of a subgroup list
-            deeper = inner + "  "
-            sep = "," + deeper
-            items = ["[" + deeper + sep.join(map(int.__repr__, x)) + inner + "]" for x in obj]
-        else:
-            items = [_dumps(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_escape(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None or isinstance(obj, bool):
-        return _CONSTANTS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _root_json(r: roots.DemazureRoot) -> dict:
     return {
-        "coords": list(r.coords),
+        "coords": r.coords,
         "ray": r.ray + 1,
         "kind": r.kind,
         "parity": r.parity,
@@ -205,7 +162,7 @@ def _root_json(r: roots.DemazureRoot) -> dict:
 def _rootset_json(rs: RootSet) -> dict:
     return {
         "dimension": rs.dimension,
-        "roots": [list(r.coords) for r in rs.roots],
+        "roots": [r.coords for r in rs.roots],
         "display": [r.display() for r in rs.roots],
     }
 
@@ -268,8 +225,8 @@ def _roots(args) -> tuple[int, dict]:
         "class_cuts": list(pre.cuts),
         "roots": [_root_json(r) for r in system.roots],
         "count": len(system.roots),
-        "by_ray": [[list(r.coords) for r in level] for level in system.by_ray],
-        "positive_by_ray": [[list(r.coords) for r in level] for level in pos],
+        "by_ray": [[r.coords for r in level] for level in system.by_ray],
+        "positive_by_ray": [[r.coords for r in level] for level in pos],
         "positive_count": sum(len(level) for level in pos),
     }
 
@@ -597,7 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         exit_code, payload = compute(args)
         if args.format == "json":
             header = {"schema_version": SCHEMA_VERSION, "command": args.cmd}
-            text = _dumps({**header, **payload})
+            text = dumps({**header, **payload})
         else:
             text = "\n".join(table(payload))
         sys.stdout.write(text + "\n")

@@ -78,6 +78,12 @@ RAYS_HIGHER_RANK = [
 #: column order: their output is mostly subgroup lists.
 LARGE_FANS = ["1 1 1 1 1; 0 0 1 2 0", "2 1 1 0 2; 2 0 2 2 1"]
 
+#: A ``wide-entries``-style fan: rank 3, large entries, 18 roots.
+WIDE_ENTRY_FAN = "31 8 6; 7 2 1"
+
+#: A radiant surface with m = 12 (type II, four open-orbit subgroups).
+SEQUENCE_M12 = "7,1,3,1,3,2,2,2,2,4,0,-3"
+
 FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
                 "type", "split", "verify"]
 
@@ -146,6 +152,9 @@ def commands() -> list[list[str]]:
                 for f in ("json", "table")]
         out += [["series", "--ray-matrix", fan, "--format", f] for f in _formats("series")]
         out += [["center", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
+    for fan in LARGE_FANS + [WIDE_ENTRY_FAN]:
+        out += [["roots", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
+    out += [["surface", f"--sequence={SEQUENCE_M12}", "--format", f] for f in ("json", "table")]
     return out
 
 

@@ -1,12 +1,13 @@
 """The CLI's JSON writer against the standard library's encoder: the same
-bytes on every value it takes, ``TypeError`` on any other, and a payload it
-cannot write ends in exit 3 with nothing on stdout."""
+bytes on every value it takes, also where one tuple object recurs or equal
+tuples are written differently, ``TypeError`` on any other value, and a
+payload it cannot write ends in exit 3 with nothing on stdout."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricroots import cli, groups
+from toricroots import cli, groups, jsonout
 
 from oracles import stdlib_json
 
@@ -42,24 +43,58 @@ values = st.recursive(leaves, containers, max_leaves=24)
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(values)
 def test_writer_matches_the_stdlib_encoder(value):
-    assert cli._dumps(value) == stdlib_json(value)
+    assert jsonout.dumps(value) == stdlib_json(value)
+
+
+def _with_int_copies(pool):
+    return pool + [tuple(map(int, t)) for t in pool]
+
+
+#: Int tuples (bools mixed in), each with an equal but distinct copy whose
+#: bools are ints: ``(1, True) == (1, 1)``, but their JSON differs.
+tuple_pools = st.lists(
+    st.lists(int_or_bool, max_size=3).map(tuple), min_size=1, max_size=4,
+).map(_with_int_copies)
+
+
+def shared_tuples(pool):
+    """Values whose leaves are the pool's own tuple objects, so the same
+    tuple recurs within one list and at several depths."""
+    picks = st.sampled_from(pool)
+    return st.recursive(picks | st.lists(picks, max_size=6), containers, max_leaves=16)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(tuple_pools.flatmap(shared_tuples))
+def test_writer_matches_the_stdlib_encoder_on_shared_tuples(value):
+    assert jsonout.dumps(value) == stdlib_json(value)
+
+
+#: One tuple object at several depths.
+_T = (1, -2)
 
 
 @pytest.mark.parametrize("value", [
     [], {}, (), [[]], [[], [1]], [[1], []], [{}], {"": []}, [(1, 2), [3]],
     [[1, True]], [[1], ["a"]], [1, "a"], [None, False], {"b": 1, "a": {"c": [[0]]}},
     "", " ", -(10**30),
+    # tuples that are equal but written differently, empty, or repeated
+    [(1, 1), (1, True)], [(1, True), (1, 1)], [[(1, 1)], [(1, True)]],
+    [(), ()], [(), (1,), ()], [{"a": (1, 2)}], [{"a": [(1, 2), (1, 2)]}, [(1, 2)]],
+    [_T, [_T, [_T]], {"k": [_T, _T]}, (_T, [_T])], [(_T,), (_T,)],
 ])
 def test_writer_on_edge_cases(value):
-    assert cli._dumps(value) == stdlib_json(value)
+    assert jsonout.dumps(value) == stdlib_json(value)
 
 
 @pytest.mark.parametrize("value", [
     0.5, {1, 2}, [1.0], {"a": [[1, 2.5]]}, {1: "a"}, {"a": 1, 2: "b"}, b"x", object(),
+    # a float tuple equal to an int tuple written before it
+    [(1,), (1.0,)], [[(1,)], [(1.0,)]], [(1, 2), (1, 2.0)],
 ])
 def test_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
-        cli._dumps(value)
+        jsonout.dumps(value)
 
 
 def test_a_float_in_a_payload_exits_three_without_traceback(capsys, monkeypatch):
