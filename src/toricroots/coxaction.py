@@ -22,6 +22,7 @@ from functools import lru_cache, partial, reduce
 from math import comb
 from typing import Optional, Sequence, Union
 
+from . import liealg
 from .errors import InputError, InvariantViolation
 from .fan import RayMatrix
 from .lattice import IntVector
@@ -70,16 +71,24 @@ def _checked_theta(A: RayMatrix, root: DemazureRoot) -> tuple[int, ...]:
     return theta(A, root)
 
 
+#: Key in ``vars(ring)`` of the table of what one ``verify_all`` battery has
+#: built; only the battery's own ring has one, other callers build afresh.
+_BATTERY_TABLE = "battery_table"
+
+
 def root_automorphism(
     A: RayMatrix, root: DemazureRoot, alpha: ScalarLike, ring: Optional[PolyRing] = None
 ) -> PolyAutomorphism:
     """The automorphism ``x_l -> x_l + alpha * x^{theta}`` of a positive root."""
     if ring is None:
         ring = ring_for(A)
-    exps = _checked_theta(A, root)
-    images = list(ring.variables)
-    images[root.ray] = images[root.ray] + _as_poly(alpha, ring) * ring.monomial(exps)
-    return PolyAutomorphism(ring, tuple(images))
+    table = vars(ring).get(_BATTERY_TABLE, {})
+    auto = table.get((A, root, alpha))
+    if auto is None:
+        images = list(ring.variables)
+        images[root.ray] += _as_poly(alpha, ring) * ring.monomial(_checked_theta(A, root))
+        auto = table[A, root, alpha] = PolyAutomorphism(ring, tuple(images))
+    return auto
 
 
 def compose(g: PolyAutomorphism, h: PolyAutomorphism) -> PolyAutomorphism:
@@ -91,7 +100,7 @@ def compose(g: PolyAutomorphism, h: PolyAutomorphism) -> PolyAutomorphism:
         raise InputError("automorphisms live in different rings")
     images = []
     for img, var, h_img in zip(g.images, ring.variables, h.images):
-        if img != var:
+        if img is not var and img != var:
             images.append(img.substitute(h.images))
         else:
             check_degree(ring, h_img.total_degree())
@@ -138,12 +147,21 @@ def verify_conjugation(
     a = ring.param("a") if alpha is None else _as_poly(alpha, ring)
     b = ring.param("b") if beta is None else _as_poly(beta, ring)
     d = e.coords[f.ray]
-    lhs = product([root_automorphism(A, r, c, ring) for r, c in ((f, -b), (e, a), (f, b))])
+    lhs = _conjugation_word(A, e, f, a, b, ring)
     factors = []
     for k in range(d + 1):
         coords = tuple(x + k * y for x, y in zip(e.coords, f.coords))
         factors.append(root_automorphism(A, _root_obj(A, coords), a * b**k * comb(d, k), ring))
     return lhs == product(factors)
+
+
+def _conjugation_word(A: RayMatrix, e, f, a: Poly, b: Poly, ring: PolyRing) -> PolyAutomorphism:
+    """``u_f(-b) u_e(a) u_f(b)``; a battery keeps it until it drops the key."""
+    table = vars(ring).get(_BATTERY_TABLE, {})
+    if (A, e, f, a, b) not in table:
+        autos = [root_automorphism(A, r, c, ring) for r, c in ((f, -b), (e, a), (f, b))]
+        table[A, e, f, a, b] = product(autos)
+    return table[A, e, f, a, b]
 
 
 def first_order_commutator_matches_bracket(
@@ -152,20 +170,24 @@ def first_order_commutator_matches_bracket(
     """The coefficient of ``s t`` on the root monomial of ``e+f`` in the group
     commutator ``u_f(t)^-1 u_e(s)^-1 u_f(t) u_e(s)`` must equal the bracket
     coefficient of the derivations (``-d`` for ``e`` below ``f``)."""
-    from . import liealg
-
     if ring is None or ring.params != ("s", "t"):
         ring = ring_for(A, params=("s", "t"))
     s, t = ring.param("s"), ring.param("t")
     word = product(
         [root_automorphism(A, r, c, ring) for r, c in ((f, -t), (e, -s), (f, t), (e, s))]
     )
+    return _commutator_matches_bracket(A, e, f, word, 1)
+
+
+def _commutator_matches_bracket(A: RayMatrix, e, f, word: PolyAutomorphism, sign: int) -> bool:
+    """``word``, a commutator of ``u_e`` and ``u_f``, is the identity or has
+    ``sign`` times the bracket coefficient on its first-order monomial."""
     hit = liealg.bracket(e, f, A)
     if hit is None:
-        return word == PolyAutomorphism.identity(ring)
+        return word == PolyAutomorphism.identity(word.ring)
     coef, g = hit
     mono = theta(A, g) + (1, 1)  # x^{theta(g)} * s * t
-    return word.images[g.ray].coefficient(mono) == coef
+    return word.images[g.ray].coefficient(mono) == sign * coef
 
 
 @dataclass(frozen=True)
@@ -181,8 +203,9 @@ def verify_all(A: RayMatrix) -> tuple[VerificationCheck, ...]:
     group commutators with derivation brackets, and the matrix model of each
     column class."""
     ring = ring_for(A)
+    table = vars(ring)[_BATTERY_TABLE] = {}  # dropped at the end, or with the ring
     pos = [r for level in positive_roots(A) for r in level]
-    a, identity = ring.param("a"), PolyAutomorphism.identity(ring)
+    a, b, identity = ring.param("a"), ring.param("b"), PolyAutomorphism.identity(ring)
     law = {e: _sum_law(A, e, ring) for e in pos}
     law_ok = all(law.values()) and all(
         compose(root_automorphism(A, e, a, ring), root_automorphism(A, e, -a, ring)) == identity
@@ -190,15 +213,17 @@ def verify_all(A: RayMatrix) -> tuple[VerificationCheck, ...]:
     )
     checks = [VerificationCheck("one-parameter-law", len(pos), law_ok)]
 
+    # with s = -a, t = b the commutator u_f(-t) u_e(-s) u_f(t) u_e(s) is the
+    # conjugation word times u_e(-a), whose a b coefficient is minus the s t one
     pairs = [(e, f) for e in pos for f in pos if e.ray < f.ray]
-    conjugation = {(e, f): verify_conjugation(A, e, f, ring=ring) for e, f in pairs}
+    conjugation, first_ok = {}, True
+    for e, f in pairs:
+        conjugation[e, f] = verify_conjugation(A, e, f, ring=ring)
+        word = compose(_conjugation_word(A, e, f, a, b, ring), root_automorphism(A, e, -a, ring))
+        del table[A, e, f, a, b]  # each word lives for its own pair only
+        first_ok &= _commutator_matches_bracket(A, e, f, word, -1)
     checks.append(
         VerificationCheck("conjugation-identity", len(pairs), all(conjugation.values()))
-    )
-
-    st_ring = ring_for(A, params=("s", "t"))
-    first_ok = all(
-        first_order_commutator_matches_bracket(A, e, f, st_ring) for e, f in pairs
     )
     checks.append(VerificationCheck("first-order-bracket", len(pairs), first_ok))
 
@@ -209,6 +234,7 @@ def verify_all(A: RayMatrix) -> tuple[VerificationCheck, ...]:
         for cls in classes
     )
     checks.append(VerificationCheck("matrix-embedding", len(classes), embed_ok))
+    del vars(ring)[_BATTERY_TABLE]
     return tuple(checks)
 
 

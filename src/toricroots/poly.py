@@ -186,7 +186,10 @@ class Poly:
             raise InputError("need one image per coordinate variable")
         if any(img.ring is not ring and img.ring != ring for img in images):
             raise InputError("polynomials from different rings")
-        moved = [i for i, (img, x) in enumerate(zip(images, ring.variables)) if img != x]
+        moved = [
+            i for i, (img, x) in enumerate(zip(images, ring.variables))
+            if img is not x and img != x
+        ]
         extra = [(i, images[i].total_degree() - 1) for i in moved]
         for mono in self.terms:
             check_degree(ring, sum(mono) + sum(mono[i] * d for i, d in extra))

@@ -84,6 +84,10 @@ WIDE_ENTRY_FAN = "31 8 6; 7 2 1"
 #: A radiant surface with m = 12 (type II, four open-orbit subgroups).
 SEQUENCE_M12 = "7,1,3,1,3,2,2,2,2,4,0,-3"
 
+#: ``verify`` on surfaces and P(1,2,3,5): the first exceeds the degree cap
+#: (exit 1), the others hold up to 187 conjugation pairs.
+VERIFY_FANS = ["40 1", "20 1", "12 7 1", "5 3 2 1"]
+
 FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
                 "type", "split", "verify"]
 
@@ -155,6 +159,8 @@ def commands() -> list[list[str]]:
     for fan in LARGE_FANS + [WIDE_ENTRY_FAN]:
         out += [["roots", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
     out += [["surface", f"--sequence={SEQUENCE_M12}", "--format", f] for f in ("json", "table")]
+    for fan in VERIFY_FANS:
+        out += [["verify", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
     return out
 
 

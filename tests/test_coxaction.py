@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +10,7 @@ from toricroots import (
     InputError,
     coxaction,
     demazure_roots,
+    liealg,
     positive_roots,
     validate_ray_matrix,
 )
@@ -315,3 +319,174 @@ def test_sparse_unitriangular_product_matches_dense(p123, f1p1):
 def test_verify_all_random():
     for A in random_ray_matrices(5, seed=606):
         assert all(c.ok for c in verify_all(A))
+
+
+# ---------------------------------------------------------------------------
+# the battery's first-order check, read off each pair's conjugation word
+
+
+def _pairs(A):
+    pos = [r for level in positive_roots(A) for r in level]
+    return [(e, f) for e in pos for f in pos if e.ray < f.ray]
+
+
+def _battery_first_order(monkeypatch, A):
+    """The checks of ``verify_all(A)`` by name, and the first-order verdict
+    the battery reached on each pair."""
+    verdicts = {}
+    check = coxaction._commutator_matches_bracket
+
+    def record(A_, e, f, word, sign):
+        verdicts[e, f] = check(A_, e, f, word, sign)
+        return verdicts[e, f]
+
+    with monkeypatch.context() as m:
+        m.setattr(coxaction, "_commutator_matches_bracket", record)
+        checks = {c.name: c.ok for c in verify_all(A)}
+    return checks, verdicts
+
+
+def _bracket_off_by(shift):
+    """``liealg.bracket`` with every coefficient moved by ``shift``, or with
+    every bracket zero when ``shift`` is ``None``."""
+    bracket = liealg.bracket
+
+    def wrong(e, f, A):
+        hit = bracket(e, f, A)
+        return None if shift is None or hit is None else (hit[0] + shift, hit[1])
+
+    return wrong
+
+
+def test_battery_first_order_verdicts_match_the_literal_check(monkeypatch, p123, f1p1):
+    wide = validate_ray_matrix([[4, 3, 2, 1]], 4)
+    fans = [p123, f1p1] + [projective_space(n) for n in range(1, 5)]
+    fans += [wide] + random_ray_matrices(10, seed=1010)
+    zero = nonzero = 0
+    for A in fans:
+        pairs = _pairs(A)
+        hits = [liealg.bracket(e, f, A) for e, f in pairs]
+        zero += hits.count(None)
+        nonzero += len(hits) - hits.count(None)
+        if A == wide:  # both branches of the check on one fan
+            assert (len(hits), hits.count(None)) == (137, 94)
+        # under the true bracket every verdict holds; under a wrong one the
+        # battery must fail exactly the pairs the literal check fails
+        for shift in (0, 1, None):
+            with monkeypatch.context() as m:
+                m.setattr(liealg, "bracket", _bracket_off_by(shift))
+                checks, verdicts = _battery_first_order(monkeypatch, A)
+                oracle = {(e, f): first_order_commutator_matches_bracket(A, e, f) for e, f in pairs}
+            assert verdicts == oracle
+            assert checks["first-order-bracket"] == all(oracle.values())
+            if shift == 0:
+                assert all(oracle.values())
+    assert zero > 0 and nonzero > 0  # both branches of the check are met
+
+
+@pytest.mark.parametrize("shift", [1, None])
+def test_wrong_bracket_fails_only_the_first_order_check(monkeypatch, shift):
+    for A in (projective_space(3), validate_ray_matrix([[4, 3, 2, 1]], 4)):
+        monkeypatch.setattr(liealg, "bracket", _bracket_off_by(shift))
+        ok = {c.name: c.ok for c in verify_all(A)}
+        assert ok == {
+            "one-parameter-law": True,
+            "conjugation-identity": True,
+            "first-order-bracket": False,
+            "matrix-embedding": True,
+        }
+
+
+def _fresh_checks(A):
+    """The battery's checks, each recomputed from public calls in fresh rings."""
+    pos = [r for level in positive_roots(A) for r in level]
+    pairs = _pairs(A)
+    ring = ring_for(A)
+    a, b = ring.param("a"), ring.param("b")
+    law = all(
+        compose(root_automorphism(A, e, a, ring), root_automorphism(A, e, b, ring))
+        == root_automorphism(A, e, a + b, ring)
+        and compose(root_automorphism(A, e, a, ring), root_automorphism(A, e, -a, ring))
+        == PolyAutomorphism.identity(ring)
+        for e in pos
+    )
+    classes = column_preorder(A).classes
+    return (
+        ("one-parameter-law", len(pos), law),
+        ("conjugation-identity", len(pairs), all(verify_conjugation(A, e, f) for e, f in pairs)),
+        ("first-order-bracket", len(pairs),
+         all(first_order_commutator_matches_bracket(A, e, f) for e, f in pairs)),
+        ("matrix-embedding", len(classes), all(matrix_embedding_check(A, c) for c in classes)),
+    )
+
+
+def test_battery_builds_nothing_that_outlives_it(monkeypatch):
+    rings = []
+
+    def capture(A, *args, **kwargs):
+        ring = ring_for(A, *args, **kwargs)
+        rings.append(ring)
+        return ring
+
+    monkeypatch.setattr(coxaction, "ring_for", capture)
+    verify_all(projective_space(3))
+    assert len(rings) == 1 and coxaction._BATTERY_TABLE not in vars(rings[0])
+    alive = weakref.ref(rings.pop())
+    gc.collect()
+    assert alive() is None
+    # a battery cut short by the degree cap leaves nothing behind either
+    with pytest.raises(DegreeCapError):
+        verify_all(validate_ray_matrix([[40, 1]], 2))
+    alive = weakref.ref(rings.pop())
+    gc.collect()
+    assert alive() is None
+
+
+def test_batteries_on_fans_with_the_same_m_stay_apart():
+    fans = [validate_ray_matrix(rows, n) for rows, n in [
+        ([[3, 2, 1]], 3), ([[1, 1, 1]], 3), ([[2, 1, 1]], 3), ([[4, 1]], 2), ([[2, 1]], 2),
+    ]]
+    assert len({A.m for A in fans[:3]}) == 1 and len({A.m for A in fans[3:]}) == 1
+    fresh = {A: _fresh_checks(A) for A in fans}
+    for A in fans + fans[::-1]:
+        assert tuple((c.name, c.cases, c.ok) for c in verify_all(A)) == fresh[A]
+
+
+def test_equal_coefficients_give_equal_automorphisms(p123):
+    ring = ring_for(p123)
+    e = find(p123, (-1, 1, 1))
+    same = [2, Fraction(4, 2), ring.const(2)]
+    assert len({root_automorphism(p123, e, c, ring) for c in same}) == 1
+    # also when a battery's table hands them out
+    vars(ring)[coxaction._BATTERY_TABLE] = {}
+    autos = [root_automorphism(p123, e, c, ring) for c in same]
+    assert autos[0] is autos[1] and autos[1] == autos[2]
+    assert autos[0] == root_automorphism(p123, e, 2, ring_for(p123))
+
+
+def test_battery_expands_each_word_once_and_each_automorphism_once(monkeypatch):
+    A = validate_ray_matrix([[4, 3, 2, 1]], 4)
+    products, requested, built = [0], set(), [0]
+    real_product, real_root_automorphism, real_as_poly = (
+        coxaction.product, coxaction.root_automorphism, coxaction._as_poly
+    )
+
+    def count_product(autos):
+        products[0] += 1
+        return real_product(autos)
+
+    def record(A_, root, alpha, ring=None):
+        requested.add((root, alpha))
+        return real_root_automorphism(A_, root, alpha, ring)
+
+    def count_built(value, ring):  # called once per automorphism actually built
+        built[0] += 1
+        return real_as_poly(value, ring)
+
+    monkeypatch.setattr(coxaction, "product", count_product)
+    monkeypatch.setattr(coxaction, "root_automorphism", record)
+    monkeypatch.setattr(coxaction, "_as_poly", count_built)
+    assert all(c.ok for c in verify_all(A))
+    # one product for the conjugation word, one for the right-hand side
+    assert products[0] == 2 * len(_pairs(A))
+    assert built[0] == len(requested)
