@@ -179,9 +179,9 @@ def _shape_json(shape) -> dict:
 
 
 def _dot_lines(graph: RootGraph) -> list[str]:
-    """Root graph in DOT form: dashed arrows inside a level, dotted across."""
-    lines = ["digraph root_graph {"] + [f'  "{v.display()}";' for v in sorted(graph.vertices)]
-    for a in sorted(graph.arrows, key=lambda a: (a.source.coords, a.target.coords)):
+    """Root graph in DOT form, in its own order: dashed arrows inside a level, dotted across."""
+    lines = ["digraph root_graph {"] + [f'  "{v.display()}";' for v in graph.vertices]
+    for a in graph.arrows:
         style = "dashed" if a.inner else "dotted"
         lines.append(f'  "{a.source.display()}" -> "{a.target.display()}" [style={style}];')
     return lines + ["}"]

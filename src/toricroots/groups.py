@@ -13,12 +13,12 @@ matrix (``_table``), whose sum triples drive the one closure ``_close``.
 The module also computes the abstract shape of the maximal unipotent
 subgroup as an iterated semidirect product of triangular blocks, and derives
 centers, central series, derived series, nilpotency class and derived length
-from a directed graph on the roots: there is an arrow ``a -> a+e`` whenever
-``a``, ``e`` and ``a+e`` all lie in ``M``.  The graph is acyclic; the k-th
-lower central term is spanned by the roots reached by paths of length ``k``,
-the k-th upper central term by the roots from which every path is shorter
-than ``k``, and passing from a root set to the arrow targets computes
-derived subgroups.
+from a directed graph on the roots, read off the same sum triples as
+``_close``: an arrow ``a -> a+e`` whenever ``a``, ``e`` and ``a+e`` all lie
+in ``M``.  The graph is acyclic; the k-th lower central term is spanned
+by the roots reached by paths of length ``k``, the k-th upper central term
+by the roots from which every path is shorter than ``k``, and passing from
+a root set to the arrow targets computes derived subgroups.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     InputError,
@@ -96,7 +96,7 @@ class RootSet:
 
 def umax_rootset(A: RayMatrix) -> RootSet:
     """The root set of ``U_max``: every positive root of the canonical ``A``."""
-    return RootSet.of(A.n, [r for level in positive_roots(A) for r in level])
+    return RootSet(A.n, _table(A).roots)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +109,9 @@ class _RootTable:
     order; a root set is the bitmask of its numbers.
 
     ``partners[r]`` lists ``(other, s)``, by ascending ``other``, for each
-    triple ``(x, y, s)`` holding ``r`` with ``x + y = s`` and
-    ``ray(y) > ray(x)`` (so ``x < y``).  A positive root plus a positive root
-    of a higher level is a positive root of the lower level or no root at
-    all, so these triples are the whole saturation relation.  They are found
-    on first use: ``center`` needs only the numbering.
+    triple ``(x, y, s)`` of ``_sum_triples`` holding ``r``: the whole
+    saturation relation.  They are found on first use: ``center`` needs only
+    the numbering.
     """
 
     n: int
@@ -124,14 +122,9 @@ class _RootTable:
     @cached_property
     def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         out: list[list[tuple[int, int]]] = [[] for _ in self.roots]
-        for x, a in enumerate(self.roots):
-            for y in range(x + 1, len(self.roots)):
-                b = self.roots[y]
-                if b.ray != a.ray:
-                    s = self.index.get(tuple(p + q for p, q in zip(a.coords, b.coords)))
-                    if s is not None:
-                        out[x].append((y, s))
-                        out[y].append((x, s))
+        for x, y, s in _sum_triples(self.roots, self.index):
+            out[x].append((y, s))
+            out[y].append((x, s))
         return tuple(map(tuple, out))
 
     def rootset(self, mask: int) -> RootSet:
@@ -146,8 +139,24 @@ def _table(A: RayMatrix) -> _RootTable:
     return _RootTable(A.n, roots, index, basics)
 
 
+def _sum_triples(roots: Sequence[DemazureRoot], index: dict) -> Iterator[tuple[int, int, int]]:
+    """Positions ``(x, y, s)`` of sorted positive ``roots`` (numbered by
+    ``index``) with ``x + y = s`` and ``ray(x) < ray(y) = j``, by ascending
+    ``x`` then ``y``.  A positive root on level ``j`` is ``-1`` at ``j``, ``0``
+    below and ``>= 0`` above, so only levels ``j`` with ``x_j >= 1`` can
+    give a root (on the level of ``x``); two roots of one level never do."""
+    levels = {j: [k for k, r in enumerate(roots) if r.ray == j] for j in {r.ray for r in roots}}
+    for x, a in enumerate(roots):
+        for j, c in enumerate(a.coords):
+            if c >= 1:
+                for y in levels.get(j, ()):
+                    s = index.get(tuple(p + q for p, q in zip(a.coords, roots[y].coords)))
+                    if s is not None:
+                        yield x, y, s
+
+
 def _members(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+    return [k for k, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def _close(table: _RootTable, mask: int, new: Sequence[int]) -> int:
@@ -163,13 +172,13 @@ def _close(table: _RootTable, mask: int, new: Sequence[int]) -> int:
 
 
 def _as_mask(table: _RootTable, M: RootsLike) -> int:
-    mask = 0
-    for r in sorted(set(M)):
+    digits = bytearray(b"0") * len(table.roots)  # parsed in linear time, unlike N ORs
+    for r in M:
         k = table.index.get(r.coords)
         if k is None:
             raise InputError(f"element not in the positive roots: {r.coords}")
-        mask |= 1 << k
-    return mask
+        digits[~k] = ord("1")  # bit k is the k-th digit from the right
+    return int(digits, 2)
 
 
 def is_saturated(
@@ -472,32 +481,24 @@ class RootGraph:
 
 
 def root_graph(M: RootSet) -> RootGraph:
-    """Directed graph with an arrow ``a -> a+e`` for every pair of roots of
-    ``M`` whose sum is again in ``M``; asserts acyclicity."""
-    index = {r.coords: r for r in M.roots}
-    arrows = []
-    for a in M.roots:
-        for b in M.roots:
-            diff = tuple(x - y for x, y in zip(b.coords, a.coords))
-            label = index.get(diff)
-            if label is not None:
-                arrows.append(Arrow(source=a, target=b, label=label))
-    graph = RootGraph(vertices=M.roots, arrows=tuple(sorted(
-        arrows, key=lambda ar: (ar.source.coords, ar.target.coords)
-    )))
-    _path_lengths(graph)  # raises on a cycle
-    return graph
+    """Directed graph on ``M.roots``: arrows ``x -> s`` labelled ``y`` and
+    ``y -> s`` labelled ``x`` per sum triple of ``M``; asserts acyclicity.
+    Arrows come in (source, target) coordinate order when ``M`` is sorted."""
+    triples = _sum_triples(M.roots, {r.coords: k for k, r in enumerate(M.roots)})
+    edges = sorted(e for x, y, s in triples for e in ((x, s, y), (y, s, x)))
+    _path_lengths(len(M.roots), edges)  # raises on a cycle
+    roots = M.roots
+    return RootGraph(roots, tuple(Arrow(roots[a], roots[t], roots[e]) for a, t, e in edges))
 
 
-def _path_lengths(graph: RootGraph) -> tuple[list[int], list[int]]:
-    """Longest path ending at and starting from each vertex (by position),
-    from one topological order over adjacency lists; raises on a cycle."""
-    position = {v.coords: k for k, v in enumerate(graph.vertices)}
-    succ: list[list[int]] = [[] for _ in graph.vertices]
-    indeg = [0] * len(graph.vertices)
-    for a in graph.arrows:
-        t = position[a.target.coords]
-        succ[position[a.source.coords]].append(t)
+def _path_lengths(size: int, edges: list) -> tuple[list[int], list[int]]:
+    """Longest path ending at and starting from each vertex, given arrows
+    as positions (source, target, label), from one topological order over
+    adjacency lists; raises on a cycle."""
+    succ: list[list[int]] = [[] for _ in range(size)]
+    indeg = [0] * size
+    for a, t, _ in edges:
+        succ[a].append(t)
         indeg[t] += 1
     order = [v for v, d in enumerate(indeg) if d == 0]
     for v in order:  # grows while it is read: Kahn's algorithm
@@ -536,8 +537,10 @@ def series_report(M: RootSet) -> SeriesReport:
     k-th upper term the roots starting no path of length ``k``; the derived
     series passes to the arrow targets of the graph induced on each term.
     """
-    graph = root_graph(M)
-    longest_to, longest_from = _path_lengths(graph)
+    position = {r.coords: k for k, r in enumerate(M.roots)}
+    arrows = root_graph(M).arrows
+    edges = [tuple(position[r.coords] for r in (a.source, a.target, a.label)) for a in arrows]
+    longest_to, longest_from = _path_lengths(len(M.roots), edges)
     l = max(longest_to, default=0)
 
     def subset(keep) -> RootSet:
@@ -546,23 +549,19 @@ def series_report(M: RootSet) -> SeriesReport:
     lower = tuple(subset(d >= k for d in longest_to) for k in range(l + 2))
     upper = tuple(subset(d < k for d in longest_from) for k in range(l + 2))
 
-    derived_sets = [M]
-    while derived_sets[-1].roots:
-        term = derived_sets[-1].coords
-        targets = {
-            a.target for a in graph.arrows
-            if {a.source.coords, a.target.coords, a.label.coords} <= term
-        }
-        derived_sets.append(subset(r in targets for r in M.roots))
-        if len(derived_sets) > len(M.roots) + 2:
+    derived = [(1 << len(M.roots)) - 1]  # position bitmasks
+    while term := derived[-1]:
+        inside = {t for a, t, e in edges if term >> a & term >> t & term >> e & 1}
+        derived.append(sum(1 << t for t in inside))
+        if len(derived) > len(M.roots) + 2:
             raise InvariantViolation("derived series did not terminate")
 
     return SeriesReport(
         lower=lower,
         upper=upper,
-        derived=tuple(derived_sets),
+        derived=tuple(RootSet(M.n, tuple(M.roots[k] for k in _members(t))) for t in derived),
         nilpotency_class=l + 1 if M.roots else 0,
-        derived_length=len(derived_sets) - 1,
+        derived_length=len(derived) - 1,
         longest_path=l,
         center_indices=_center_indices(M) if has_open_orbit(M) else None,
     )
@@ -575,7 +574,8 @@ TYPE_II = "II"
 def variety_type(A: RayMatrix) -> str:
     """Type I when the maximal unipotent subgroup is commutative, i.e. when
     the root graph on the positive roots has no arrow."""
-    return TYPE_I if not any(_table(A).partners) else TYPE_II
+    table = _table(A)
+    return TYPE_II if any(_sum_triples(table.roots, table.index)) else TYPE_I
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ The bilateral oracle tries every ``n``-subset of the rays as a basis, with
 Bareiss determinants and Cramer's rule (``det``, ``is_unimodular_basis``,
 ``coords_in_basis``), the way ``toricroots.fan.bilateralize`` did before its
 facet search.  The CLI's JSON writer is checked against the standard
-library's encoder (``stdlib_json``), which it replaced.
+library's encoder (``stdlib_json``), which it replaced.  The root graph is
+rebuilt from all ordered pairs of roots (``all_pairs_root_graph``), the way
+``toricroots.groups.root_graph`` did before it read the level-scanned sum
+triples.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from toricroots import InputError, InvariantViolation, RootSet, positive_roots
 from toricroots.fan import Bilateralization, RayList, RayMatrix
+from toricroots.groups import Arrow, RootGraph
 from toricroots.lattice import IntVector, as_vector
 from toricroots.liealg import bracket
 from toricroots.poly import Poly
@@ -177,6 +181,23 @@ def literal_sum_triples(A):
             if a.ray < b.ray and literal_root_ray(A, s) is not None:
                 out.append((a.coords, b.coords, s))
     return out
+
+
+def all_pairs_root_graph(M):
+    """The root graph of ``M`` from every ordered pair ``(a, b)`` of its
+    roots: an arrow ``a -> b`` labelled ``b - a`` when that difference lies
+    in ``M``, sorted by (source, target) coordinates."""
+    index = {r.coords: r for r in M.roots}
+    arrows = []
+    for a in M.roots:
+        for b in M.roots:
+            diff = tuple(x - y for x, y in zip(b.coords, a.coords))
+            label = index.get(diff)
+            if label is not None:
+                arrows.append(Arrow(source=a, target=b, label=label))
+    return RootGraph(vertices=M.roots, arrows=tuple(sorted(
+        arrows, key=lambda ar: (ar.source.coords, ar.target.coords)
+    )))
 
 
 def termwise_substitute(p, images):

@@ -84,6 +84,9 @@ WIDE_ENTRY_FAN = "31 8 6; 7 2 1"
 #: A radiant surface with m = 12 (type II, four open-orbit subgroups).
 SEQUENCE_M12 = "7,1,3,1,3,2,2,2,2,4,0,-3"
 
+#: A root-heavy fan: 1 894 positive roots, 1 891 of them on the first level.
+ROOT_HEAVY_FAN = "60 1 1"
+
 #: ``verify`` on surfaces and P(1,2,3,5): the first exceeds the degree cap
 #: (exit 1), the others hold up to 187 conjugation pairs.
 VERIFY_FANS = ["40 1", "20 1", "12 7 1", "5 3 2 1"]
@@ -161,6 +164,8 @@ def commands() -> list[list[str]]:
     out += [["surface", f"--sequence={SEQUENCE_M12}", "--format", f] for f in ("json", "table")]
     for fan in VERIFY_FANS:
         out += [["verify", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
+    for cmd in ("series", "center", "type"):
+        out += [[cmd, "--ray-matrix", ROOT_HEAVY_FAN, "--format", f] for f in _formats(cmd)]
     return out
 
 

@@ -52,7 +52,7 @@ from toricroots.coxaction import (
     verify_all,
     verify_conjugation,
 )
-from toricroots.groups import block
+from toricroots.groups import block, umax_rootset
 from toricroots.roots import column_preorder
 
 
@@ -326,3 +326,20 @@ def test_criterion_16_large_output_is_written_fast(capsys):
     assert doc["count"] == len(doc["subgroups"]) == 1193
     assert out.out == stdlib_json(doc) + "\n"
     report(16, t, f"1193 subgroups of P(1,2,3,4): {len(out.out)} bytes of JSON")
+
+
+def test_criterion_17_type_reads_one_level_scanned_relation():
+    A = validate_ray_matrix([[120, 1, 1]], 3)
+    positive_roots(A)  # root building is not what this budget times
+    with Timer(0.5) as t:
+        assert variety_type(A) == "II"
+    report(17, t, "type of [[120,1,1]] (7384 positive roots), roots built")
+
+
+def test_criterion_18_series_reads_one_level_scanned_relation():
+    A = validate_ray_matrix([[60, 1, 1]], 3)
+    positive_roots(A)
+    with Timer(0.5) as t:
+        rep = series_report(umax_rootset(A))
+    assert (rep.nilpotency_class, rep.derived_length, len(rep.derived)) == (121, 3, 4)
+    report(18, t, "series of [[60,1,1]] (1894 positive roots), roots built")

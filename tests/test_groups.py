@@ -26,10 +26,13 @@ from toricroots.groups import (
     DirectProduct,
     Semidirect,
     TriangularBlock,
+    _table,
     block,
+    umax_rootset,
 )
 
 from conftest import (
+    SEED_100,
     incomparable_columns_matrix,
     positive_rootset,
     projective_space,
@@ -37,9 +40,11 @@ from conftest import (
 )
 from oracles import (
     BracketTable,
+    all_pairs_root_graph,
     brute_force_open_orbit_rootsets,
     level_mask_rootsets,
     lie_series_oracle,
+    literal_sum_triples,
 )
 
 
@@ -324,6 +329,39 @@ def test_root_graph_weighted_projective(p123):
 def test_root_graph_basics_only(p123):
     basics = rootset(p123, [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     assert root_graph(basics).arrows == ()
+
+
+def _sum_relation_matrices():
+    """Seeded canonical matrices of rank 2-5, then root-heavy fans."""
+    seeded = random_ray_matrices(40, SEED_100, max_n=5, max_rows=3, max_entry=3)
+    heavy = [([[5, 1, 1]], 3), ([[20, 1, 1]], 3), ([[12, 7, 1]], 3), ([[20, 9, 4, 2, 1]], 5)]
+    return [A for A in seeded if A.n >= 2] + [validate_ray_matrix(r, n) for r, n in heavy]
+
+
+def test_sum_triples_match_the_literal_relation():
+    for A in _sum_relation_matrices():
+        table = _table(A)
+        expected = [[] for _ in table.roots]
+        for a, b, s in literal_sum_triples(A):
+            x, y, k = (table.index[c] for c in (a, b, s))
+            expected[x].append((y, k))
+            expected[y].append((x, k))
+        assert table.partners == tuple(map(tuple, expected)), A.rows
+
+
+def test_root_graph_matches_the_all_pairs_oracle():
+    """On U_max and on the first enumerated (saturated, proper) subgroups."""
+    for A in _sum_relation_matrices():
+        try:
+            subgroups = enumerate_open_orbit_subgroups(A, max_results=6).subgroups
+        except ResultCapError as err:
+            subgroups = err.partial.subgroups
+        for M in (umax_rootset(A),) + subgroups:
+            got, want = root_graph(M), all_pairs_root_graph(M)
+            assert got.vertices == want.vertices
+            assert [(a.source.coords, a.target.coords, a.label.coords) for a in got.arrows] == [
+                (a.source.coords, a.target.coords, a.label.coords) for a in want.arrows
+            ], (A.rows, M.dimension)
 
 
 def test_series_weighted_projective(p123):
