@@ -8,8 +8,9 @@ back on level ``i``) must already lie in ``M``.  The subgroup has an open
 orbit exactly when ``M`` contains every basic root, and its dimension is the
 number of roots in ``M``.
 
-Saturation runs on bitmasks over one table of the positive roots per
-matrix (``_table``), whose sum triples drive the one closure ``_close``.
+Saturation runs on bitmasks over the positive roots of the one root table
+per matrix (``roots.RootSystem``), whose sum triples drive the one closure
+``_close``.
 The module also computes the abstract shape of the maximal unipotent
 subgroup as an iterated semidirect product of triangular blocks, and derives
 centers, central series, derived series, nilpotency class and derived length
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     InputError,
@@ -40,6 +41,8 @@ from .lattice import IntVector
 from .roots import (
     DemazureRoot,
     KIND_BASIC,
+    RootSystem,
+    _sum_triples,
     column_preorder,
     demazure_roots,
     positive_roots,
@@ -62,13 +65,9 @@ class RootSet:
     def of(cls, n: int, roots: Iterable[DemazureRoot]) -> "RootSet":
         return cls(n=n, roots=tuple(sorted(set(roots))))
 
-    @property
+    @cached_property
     def coords(self) -> frozenset[IntVector]:
-        cached = self.__dict__.get("_coords")
-        if cached is None:
-            cached = frozenset(r.coords for r in self.roots)
-            self.__dict__["_coords"] = cached
-        return cached
+        return frozenset(r.coords for r in self.roots)
 
     @property
     def levels(self) -> tuple[tuple[DemazureRoot, ...], ...]:
@@ -96,70 +95,22 @@ class RootSet:
 
 def umax_rootset(A: RayMatrix) -> RootSet:
     """The root set of ``U_max``: every positive root of the canonical ``A``."""
-    return RootSet(A.n, _table(A).roots)
+    return RootSet(A.n, demazure_roots(A).positive)
 
 
 # ---------------------------------------------------------------------------
-# the positive-root table and its closure
+# closure on bitmasks over the positive roots of the root table
 
 
-@dataclass(frozen=True)
-class _RootTable:
-    """The positive roots of a canonical matrix, numbered 0..N-1 in sorted
-    order; a root set is the bitmask of its numbers.
-
-    ``partners[r]`` lists ``(other, s)``, by ascending ``other``, for each
-    triple ``(x, y, s)`` of ``_sum_triples`` holding ``r``: the whole
-    saturation relation.  They are found on first use: ``center`` needs only
-    the numbering.
-    """
-
-    n: int
-    roots: tuple[DemazureRoot, ...]
-    index: dict[IntVector, int]
-    basics: int
-
-    @cached_property
-    def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        out: list[list[tuple[int, int]]] = [[] for _ in self.roots]
-        for x, y, s in _sum_triples(self.roots, self.index):
-            out[x].append((y, s))
-            out[y].append((x, s))
-        return tuple(map(tuple, out))
-
-    def rootset(self, mask: int) -> RootSet:
-        return RootSet(self.n, tuple(self.roots[k] for k in _members(mask)))
-
-
-@lru_cache(maxsize=256)
-def _table(A: RayMatrix) -> _RootTable:
-    roots = tuple(r for level in positive_roots(A) for r in level)
-    index = {r.coords: k for k, r in enumerate(roots)}
-    basics = sum(1 << k for k, r in enumerate(roots) if r.kind == KIND_BASIC)
-    return _RootTable(A.n, roots, index, basics)
-
-
-def _sum_triples(roots: Sequence[DemazureRoot], index: dict) -> Iterator[tuple[int, int, int]]:
-    """Positions ``(x, y, s)`` of sorted positive ``roots`` (numbered by
-    ``index``) with ``x + y = s`` and ``ray(x) < ray(y) = j``, by ascending
-    ``x`` then ``y``.  A positive root on level ``j`` is ``-1`` at ``j``, ``0``
-    below and ``>= 0`` above, so only levels ``j`` with ``x_j >= 1`` can
-    give a root (on the level of ``x``); two roots of one level never do."""
-    levels = {j: [k for k, r in enumerate(roots) if r.ray == j] for j in {r.ray for r in roots}}
-    for x, a in enumerate(roots):
-        for j, c in enumerate(a.coords):
-            if c >= 1:
-                for y in levels.get(j, ()):
-                    s = index.get(tuple(p + q for p, q in zip(a.coords, roots[y].coords)))
-                    if s is not None:
-                        yield x, y, s
+def _rootset(table: RootSystem, mask: int) -> RootSet:
+    return RootSet(table.matrix.n, tuple(table.positive[k] for k in _members(mask)))
 
 
 def _members(mask: int) -> list[int]:
     return [k for k, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-def _close(table: _RootTable, mask: int, new: Sequence[int]) -> int:
+def _close(table: RootSystem, mask: int, new: Sequence[int]) -> int:
     """Smallest saturated superset of ``mask``, given that every violated
     triple holds one of the roots ``new`` (all in ``mask``)."""
     stack = list(new)
@@ -171,10 +122,10 @@ def _close(table: _RootTable, mask: int, new: Sequence[int]) -> int:
     return mask
 
 
-def _as_mask(table: _RootTable, M: RootsLike) -> int:
-    digits = bytearray(b"0") * len(table.roots)  # parsed in linear time, unlike N ORs
+def _as_mask(table: RootSystem, M: RootsLike) -> int:
+    digits = bytearray(b"0") * len(table.positive)  # parsed in linear time, unlike N ORs
     for r in M:
-        k = table.index.get(r.coords)
+        k = table.position.get(r.coords)
         if k is None:
             raise InputError(f"element not in the positive roots: {r.coords}")
         digits[~k] = ord("1")  # bit k is the k-th digit from the right
@@ -186,7 +137,7 @@ def is_saturated(
 ) -> tuple[bool, Optional[tuple[IntVector, IntVector, IntVector]]]:
     """Saturation test; on failure returns the first violating triple
     (a, b, a+b), with ``a`` and then ``b`` in sorted order."""
-    table = _table(A)
+    table = demazure_roots(A)
     mask = _as_mask(table, M)
     if _close(table, mask, _members(mask)) == mask:
         return True, None
@@ -194,16 +145,16 @@ def is_saturated(
         (x, y, s) for x in _members(mask) for y, s in table.partners[x]
         if y > x and mask >> y & 1 and not mask >> s & 1
     )
-    return False, (table.roots[x].coords, table.roots[y].coords, table.roots[s].coords)
+    return False, (table.positive[x].coords, table.positive[y].coords, table.positive[s].coords)
 
 
 def saturation_closure(A: RayMatrix, M: RootsLike) -> RootSet:
     """Smallest saturated superset.  Well-defined because the saturation
     condition is closure under root sums ``a + b`` with ``b`` on a strictly
     higher level, so saturated supersets intersect to a saturated set."""
-    table = _table(A)
+    table = demazure_roots(A)
     mask = _as_mask(table, M)
-    return table.rootset(_close(table, mask, _members(mask)))
+    return _rootset(table, _close(table, mask, _members(mask)))
 
 
 def has_open_orbit(M: RootSet) -> bool:
@@ -234,7 +185,7 @@ def enumerate_open_orbit_subgroups(
     ``max_results`` raises ``ResultCapError`` carrying the first
     ``max_results`` sets in NextClosure order, sorted the same way.
     """
-    table = _table(A)
+    table = demazure_roots(A)
     found: list[int] = []
     closed: Optional[int] = _close(table, table.basics, _members(table.basics))
     while closed is not None:
@@ -248,7 +199,7 @@ def enumerate_open_orbit_subgroups(
     return _finish_enumeration(table, found, complete=True)
 
 
-def _next_closure(table: _RootTable, closed: int) -> Optional[int]:
+def _next_closure(table: RootSystem, closed: int) -> Optional[int]:
     """The lectically next closed set after ``closed`` (Ganter 1984).
 
     In sorted numbering ``s`` lies below ``x`` when ``y`` is basic and below
@@ -256,7 +207,7 @@ def _next_closure(table: _RootTable, closed: int) -> Optional[int]:
     the basic roots is closed: closing after adding root ``i`` only has to
     follow ``i``.
     """
-    for i in range(len(table.roots) - 1, -1, -1):
+    for i in range(len(table.positive) - 1, -1, -1):
         bit = 1 << i
         if closed & bit:
             continue
@@ -268,9 +219,9 @@ def _next_closure(table: _RootTable, closed: int) -> Optional[int]:
 
 
 def _finish_enumeration(
-    table: _RootTable, found: list[int], complete: bool
+    table: RootSystem, found: list[int], complete: bool
 ) -> EnumerationResult:
-    ordered = tuple(sorted(map(table.rootset, found), key=RootSet.sort_key))
+    ordered = tuple(sorted((_rootset(table, mask) for mask in found), key=RootSet.sort_key))
     hist = Counter(rs.dimension for rs in ordered)
     return EnumerationResult(ordered, tuple(sorted(hist.items())), complete)
 
@@ -434,16 +385,16 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
     """Center of the subgroup with root set ``M`` (open orbit required):
     the product of the basic root subgroups at indices whose pairing with
     every root of ``M`` is non-positive."""
-    table = _table(A)
+    table = demazure_roots(A)
     mask = _as_mask(table, M)
     if mask & table.basics != table.basics:
         raise NoOpenOrbitError(
             "center formula needs an open orbit: the root set must hold every basic root"
         )
-    indices = _center_indices(table.rootset(mask))
-    basics = table.rootset(table.basics).roots
+    indices = _center_indices(_rootset(table, mask))
+    basics = _rootset(table, table.basics).roots
     center_roots = RootSet(A.n, tuple(r for r in basics if r.ray in indices))
-    if mask == (1 << len(table.roots)) - 1:
+    if mask == (1 << len(table.positive)) - 1:
         # for U_max the center indices are the smallest members of the
         # maximal column classes; verify
         pre = column_preorder(A)
@@ -574,8 +525,8 @@ TYPE_II = "II"
 def variety_type(A: RayMatrix) -> str:
     """Type I when the maximal unipotent subgroup is commutative, i.e. when
     the root graph on the positive roots has no arrow."""
-    table = _table(A)
-    return TYPE_II if any(_sum_triples(table.roots, table.index)) else TYPE_I
+    table = demazure_roots(A)
+    return TYPE_II if any(_sum_triples(table.positive, table.position)) else TYPE_I
 
 
 @dataclass(frozen=True)

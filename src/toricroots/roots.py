@@ -30,8 +30,8 @@ library; the CLI serializers shift them to 1-based for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InputError, InvariantViolation, NotCanonicalError
 from .fan import RayMatrix
@@ -96,7 +96,15 @@ def _classify(coords: IntVector, ray: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """All Demazure roots of a ray matrix, grouped by ray."""
+    """All Demazure roots of a ray matrix, grouped by ray, and the one table
+    of its positive roots.
+
+    The positive roots are numbered 0..N-1 in sorted order, so a root set is
+    the bitmask of its numbers.  ``partners[r]`` lists ``(other, s)``, by
+    ascending ``other``, for each triple ``(x, y, s)`` of ``_sum_triples``
+    holding ``r``: the whole saturation relation.  Each field is built on
+    first use; the positive ones need canonical column order.
+    """
 
     matrix: RayMatrix
     roots: tuple[DemazureRoot, ...]
@@ -105,31 +113,62 @@ class RootSystem:
     def find(self, coords: IntVector) -> Optional[DemazureRoot]:
         return self._index.get(tuple(coords))
 
-    @property
+    @cached_property
     def _index(self) -> dict[IntVector, DemazureRoot]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {r.coords: r for r in self.roots}
-            self.__dict__["_index_cache"] = cached
-        return cached
+        return {r.coords: r for r in self.roots}
+
+    @cached_property
+    def levels(self) -> tuple[tuple[DemazureRoot, ...], ...]:
+        """The positive roots by basis ray (see ``positive_roots``)."""
+        n = self.matrix.n
+        if not satisfies_canonical_condition(self.matrix):
+            raise NotCanonicalError(
+                "ray matrix is not in canonical column order; apply canonical_reorder first"
+            )
+        levels = tuple(
+            tuple(r for r in self.by_ray[i] if is_positive_form(r.coords, i))
+            for i in range(n)
+        )
+        last = levels[n - 1]
+        if len(last) != 1 or last[0].kind != KIND_BASIC:
+            raise InvariantViolation("last positive level must be exactly the basic root")
+        return levels
+
+    @cached_property
+    def positive(self) -> tuple[DemazureRoot, ...]:
+        return tuple(r for level in self.levels for r in level)
+
+    @cached_property
+    def position(self) -> dict[IntVector, int]:
+        return {r.coords: k for k, r in enumerate(self.positive)}
+
+    @cached_property
+    def basics(self) -> int:
+        return sum(1 << k for k, r in enumerate(self.positive) if r.kind == KIND_BASIC)
+
+    @cached_property
+    def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        out: list[list[tuple[int, int]]] = [[] for _ in self.positive]
+        for x, y, s in _sum_triples(self.positive, self.position):
+            out[x].append((y, s))
+            out[y].append((x, s))
+        return tuple(map(tuple, out))
 
 
-def root_ray(A: RayMatrix, coords: IntVector) -> Optional[int]:
-    """Ray index when ``coords`` is a Demazure root of ``A``, else ``None``.
-
-    This is the literal definition (one pairing equal to -1, the rest
-    non-negative) checked against all m rays, so it is independent of the
-    root search below and doubles as its soundness oracle.
-    """
-    ray = None
-    for l, value in enumerate(A.pairings(tuple(coords))):
-        if value == -1:
-            if ray is not None:
-                return None
-            ray = l
-        elif value < 0:
-            return None
-    return ray
+def _sum_triples(roots: Sequence[DemazureRoot], index: dict) -> Iterator[tuple[int, int, int]]:
+    """Positions ``(x, y, s)`` of sorted positive ``roots`` (numbered by
+    ``index``) with ``x + y = s`` and ``ray(x) < ray(y) = j``, by ascending
+    ``x`` then ``y``.  A positive root on level ``j`` is ``-1`` at ``j``, ``0``
+    below and ``>= 0`` above, so only levels ``j`` with ``x_j >= 1`` can
+    give a root (on the level of ``x``); two roots of one level never do."""
+    levels = {j: [k for k, r in enumerate(roots) if r.ray == j] for j in {r.ray for r in roots}}
+    for x, a in enumerate(roots):
+        for j, c in enumerate(a.coords):
+            if c >= 1:
+                for y in levels.get(j, ()):
+                    s = index.get(tuple(p + q for p, q in zip(a.coords, roots[y].coords)))
+                    if s is not None:
+                        yield x, y, s
 
 
 def _search_basis_ray(cols: tuple[IntVector, ...], i: int, found: list) -> None:
@@ -340,13 +379,14 @@ def is_positive_form(coords: IntVector, ray: int) -> bool:
 
 def require_positive_root(A: RayMatrix, root: DemazureRoot) -> None:
     """Raise ``InputError`` unless ``root`` is a positive root of ``A``."""
-    if root.ray >= A.n or not is_positive_form(root.coords, root.ray):
-        raise InputError(f"not a positive root: {root.coords}")
-    if root_ray(A, root.coords) != root.ray:
-        raise InputError(f"not a root of this ray matrix: {root.coords}")
+    coords = root.coords
+    if root.ray >= A.n or len(coords) != A.n or not is_positive_form(coords, root.ray):
+        raise InputError(f"not a positive root: {coords}")
+    found = demazure_roots(A).find(coords)
+    if found is None or found.ray != root.ray:
+        raise InputError(f"not a root of this ray matrix: {coords}")
 
 
-@lru_cache(maxsize=256)
 def positive_roots(A: RayMatrix) -> tuple[tuple[DemazureRoot, ...], ...]:
     """The positive roots of ``A``, partitioned by basis ray.
 
@@ -354,17 +394,4 @@ def positive_roots(A: RayMatrix) -> tuple[tuple[DemazureRoot, ...], ...]:
     strictly above the root's own index.  The last level is always the
     single basic root.
     """
-    if not satisfies_canonical_condition(A):
-        raise NotCanonicalError(
-            "ray matrix is not in canonical column order; apply canonical_reorder first"
-        )
-    system = demazure_roots(A)
-    levels = tuple(
-        tuple(r for r in system.by_ray[i] if is_positive_form(r.coords, i))
-        for i in range(A.n)
-    )
-    last = levels[A.n - 1]
-    if len(last) != 1 or last[0].kind != KIND_BASIC:
-        raise InvariantViolation("last positive level must be exactly the basic root")
-    return levels
-
+    return demazure_roots(A).levels

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from . import groups, lattice, roots
 from .errors import CapExceededError, InputError, InvariantViolation, NotRadiantError
-from .fan import Bilateralization, RayList, RayMatrix, angle_less, bilateralize
+from .fan import RayList, RayMatrix, angle_less, bilateralize
 from .groups import GroupShape, RootSet
 
 #: Cap on the number of sequences ``enumerate_smooth_surfaces`` lists
@@ -164,21 +164,14 @@ def enumerate_smooth_surfaces(max_m: int, max_q: Optional[int] = None) -> tuple[
 @dataclass(frozen=True)
 class SurfaceReport:
     sequence: SurfaceSequence
-    rays: RayList
-    radiant: bool
-    bilateral: Optional[Bilateralization]
-    matrix: Optional[RayMatrix]  # canonical column order
-    column_permutation: Optional[tuple[int, ...]]
-    type: Optional[str]
-    d: Optional[int]
-    umax_shape: Optional[GroupShape]
-    nilpotency_class: Optional[int]
-    derived_length: Optional[int]
-    subgroups: Optional[tuple[RootSet, ...]]
-
-    @property
-    def m(self) -> int:
-        return self.sequence.m
+    matrix: RayMatrix  # canonical column order
+    column_permutation: tuple[int, ...]
+    type: str
+    d: Optional[int]  # None when the two columns are incomparable
+    umax_shape: GroupShape
+    nilpotency_class: int
+    derived_length: int
+    subgroups: tuple[RootSet, ...]
 
     @property
     def picard_rank(self) -> int:
@@ -236,9 +229,6 @@ def surface_report(seq: SurfaceSequence) -> SurfaceReport:
 
     return SurfaceReport(
         sequence=seq,
-        rays=rays,
-        radiant=True,
-        bilateral=witness,
         matrix=A,
         column_permutation=perm,
         type=variety_type,

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from toricroots.coxaction import (
 )
 from toricroots.groups import saturation_closure
 from toricroots.poly import Poly, PolyRing
-from toricroots.roots import column_preorder
+from toricroots.roots import column_preorder, satisfies_canonical_condition
 
 from conftest import projective_space, random_ray_matrices
 from oracles import dense_unitriangular_product, termwise_substitute
@@ -94,6 +95,45 @@ def test_zero_parameter_gives_identity(plane):
 def test_rejects_non_positive_root(p123):
     with pytest.raises(InputError):
         root_automorphism(p123, find(p123, (0, 0, 1)), 1)
+
+
+positive_root_users = pytest.mark.parametrize(
+    "use",
+    [
+        lambda A, r: liealg.bracket(r, find(A, (0, 0, -1)), A),
+        lambda A, r: root_automorphism(A, r, 1),
+    ],
+    ids=["bracket", "root_automorphism"],
+)
+
+
+@positive_root_users
+def test_rejects_positive_forms_that_are_not_positive_roots_of_the_matrix(p123, use):
+    foreign = find(validate_ray_matrix([[5, 2, 1]], 3), (-1, 0, 5))
+    with pytest.raises(InputError, match="not a root of this ray matrix"):
+        use(p123, foreign)
+    root = find(p123, (-1, 1, 1))
+    for ray in range(1, p123.m):
+        with pytest.raises(InputError, match="not a positive root"):
+            use(p123, replace(root, ray=ray))
+
+
+@positive_root_users
+def test_rejects_roots_of_another_rank(p123, use):
+    longer = find(validate_ray_matrix([[3, 2, 1, 1]], 4), (-1, 1, 1, 0))
+    shorter = find(validate_ray_matrix([[1, 1]], 2), (1, 0))  # detached, on ray 2
+    for root in (longer, shorter):
+        with pytest.raises(InputError, match="not a positive root"):
+            use(p123, root)
+
+
+def test_accepts_positive_roots_of_a_non_canonical_matrix():
+    A = validate_ray_matrix([[1, 2, 1]], 3)  # the equal columns 1 and 3 are apart
+    assert not satisfies_canonical_condition(A)
+    e = find(A, (-1, 0, 1))
+    assert liealg.bracket(e, find(A, (0, 0, -1)), A) == (-1, find(A, (-1, 0, 0)))
+    ring = ring_for(A)
+    assert root_automorphism(A, e, 1, ring) != PolyAutomorphism.identity(ring)
 
 
 def test_compose_identity_and_one_parameter_law(plane):

@@ -26,7 +26,6 @@ from toricroots.groups import (
     DirectProduct,
     Semidirect,
     TriangularBlock,
-    _table,
     block,
     umax_rootset,
 )
@@ -340,13 +339,34 @@ def _sum_relation_matrices():
 
 def test_sum_triples_match_the_literal_relation():
     for A in _sum_relation_matrices():
-        table = _table(A)
-        expected = [[] for _ in table.roots]
+        table = demazure_roots(A)
+        expected = [[] for _ in table.positive]
         for a, b, s in literal_sum_triples(A):
-            x, y, k = (table.index[c] for c in (a, b, s))
+            x, y, k = (table.position[c] for c in (a, b, s))
             expected[x].append((y, k))
             expected[y].append((x, k))
         assert table.partners == tuple(map(tuple, expected)), A.rows
+
+
+def test_one_root_table_per_matrix(p123):
+    """The positive levels live in the table ``demazure_roots`` caches, so
+    clearing that cache rebuilds them."""
+    before = positive_roots(p123)
+    assert positive_roots(p123) is before
+    demazure_roots.cache_clear()
+    after = positive_roots(p123)
+    assert after == before and after[0] is not before[0]
+    assert positive_roots(p123) is after is demazure_roots(p123).levels
+
+
+def test_table_numbering_agrees_with_the_positive_levels():
+    for A in _sum_relation_matrices():
+        flat = [r for level in positive_roots(A) for r in level]
+        table = demazure_roots(A)
+        assert list(table.positive) == flat == sorted(flat), A.rows
+        assert table.position == {r.coords: k for k, r in enumerate(flat)}, A.rows
+        assert table.basics == sum(1 << k for k, r in enumerate(flat) if r.kind == "basic")
+        assert bin(table.basics).count("1") == A.n
 
 
 def test_root_graph_matches_the_all_pairs_oracle():
