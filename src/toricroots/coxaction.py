@@ -256,7 +256,7 @@ def _unitriangular_product(X: dict, Y: dict) -> dict:
     inner = [((i, j), x * y) for (i, t), x in X.items() for (s, j), y in Y.items() if s == t]
     for key, value in list(Y.items()) + inner:
         out[key] = out[key] + value if key in out else value
-    return {key: value for key, value in out.items() if value.terms}
+    return {key: value for key, value in out.items() if not value.is_zero()}
 
 
 def class_embedding_positions(

@@ -435,11 +435,15 @@ def root_graph(M: RootSet) -> RootGraph:
     """Directed graph on ``M.roots``: arrows ``x -> s`` labelled ``y`` and
     ``y -> s`` labelled ``x`` per sum triple of ``M``; asserts acyclicity.
     Arrows come in (source, target) coordinate order when ``M`` is sorted."""
+    roots, edges = M.roots, _graph(M)[0]
+    return RootGraph(roots, tuple(Arrow(roots[a], roots[t], roots[e]) for a, t, e in edges))
+
+
+def _graph(M: RootSet) -> tuple[list, list[int], list[int]]:
+    """``root_graph(M)``'s arrows as sorted positions, and ``_path_lengths``."""
     triples = _sum_triples(M.roots, {r.coords: k for k, r in enumerate(M.roots)})
     edges = sorted(e for x, y, s in triples for e in ((x, s, y), (y, s, x)))
-    _path_lengths(len(M.roots), edges)  # raises on a cycle
-    roots = M.roots
-    return RootGraph(roots, tuple(Arrow(roots[a], roots[t], roots[e]) for a, t, e in edges))
+    return (edges, *_path_lengths(len(M.roots), edges))
 
 
 def _path_lengths(size: int, edges: list) -> tuple[list[int], list[int]]:
@@ -488,10 +492,7 @@ def series_report(M: RootSet) -> SeriesReport:
     k-th upper term the roots starting no path of length ``k``; the derived
     series passes to the arrow targets of the graph induced on each term.
     """
-    position = {r.coords: k for k, r in enumerate(M.roots)}
-    arrows = root_graph(M).arrows
-    edges = [tuple(position[r.coords] for r in (a.source, a.target, a.label)) for a in arrows]
-    longest_to, longest_from = _path_lengths(len(M.roots), edges)
+    edges, longest_to, longest_from = _graph(M)
     l = max(longest_to, default=0)
 
     def subset(keep) -> RootSet:

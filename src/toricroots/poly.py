@@ -6,6 +6,11 @@ ring: coordinate variables ``x1..xm`` plus a few scalar parameter variables
 substitution of the coordinate variables.  Coefficients are ``int`` while
 integral and ``Fraction`` otherwise.  A configurable total-degree cap guards
 against runaway compositions; exceeding it raises rather than truncating.
+
+A monomial is one ``int`` (Monagan and Pearce's packed exponent vectors):
+variable ``i``'s exponent in bits ``[i * width, (i + 1) * width)``, the total
+degree above them all, so a product of monomials is one addition.  Products
+are checked against the cap before they are formed, so no field carries.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 from .errors import DegreeCapError, InputError
@@ -52,16 +57,39 @@ class PolyRing:
         return self.num_coords + len(self.params)
 
     @cached_property
+    def width(self) -> int:
+        """Bits of one exponent field: room for ``2 * degree_cap + 1``."""
+        return (2 * self.degree_cap + 1).bit_length()
+
+    @cached_property
+    def shift(self) -> int:
+        """Lowest bit of the total-degree field, above every exponent field."""
+        return self.width * self.num_vars
+
+    def pack(self, mono: Sequence[int]) -> int:
+        """The packed form of an exponent vector; an exponent that does not
+        fit its field is over the cap, and raises as every product of it would."""
+        if len(mono) != self.num_vars or min(mono, default=0) < 0:
+            raise InputError("bad exponent vector")
+        if max(mono, default=0) > 2 * self.degree_cap + 1:
+            check_degree(self, max(mono))
+        return sum(e << i * self.width for i, e in enumerate(mono)) + (sum(mono) << self.shift)
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple(key >> i * w & mask for i in range(self.num_vars))
+
+    @cached_property
     def variables(self) -> tuple["Poly", ...]:
         """The coordinate variables ``x1..xm``, built once per ring."""
         return tuple(self._unit(i) for i in range(self.num_coords))
 
     def _unit(self, i: int) -> "Poly":
-        return _make(self, {tuple(int(i == j) for j in range(self.num_vars)): 1})
+        return _make(self, {(1 << i * self.width) + (1 << self.shift): 1})
 
     def const(self, value: Scalar) -> "Poly":
         value = _exact(value)
-        return _make(self, {(0,) * self.num_vars: value} if value else {})
+        return _make(self, {0: value} if value else {})
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -78,10 +106,7 @@ class PolyRing:
             raise InputError(f"no parameter {name!r}") from None
 
     def monomial(self, coord_exponents: Sequence[int]) -> "Poly":
-        if len(coord_exponents) != self.num_coords or any(e < 0 for e in coord_exponents):
-            raise InputError("bad coordinate exponent vector")
-        mono = tuple(coord_exponents) + (0,) * len(self.params)
-        return _make(self, {mono: 1})
+        return _make(self, {self.pack(tuple(coord_exponents) + (0,) * len(self.params)): 1})
 
     def var_name(self, i: int) -> str:
         if i < self.num_coords:
@@ -90,33 +115,43 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial; terms map exponent tuples to exact,
-    non-zero coefficients."""
+    """Immutable sparse polynomial; ``_terms`` maps packed monomials to
+    exact, non-zero coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], Scalar]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {m: _exact(c) for m, c in terms.items() if c})
+        _set_ring(self, ring)
+        _set_terms(self, {ring.pack(m): _exact(c) for m, c in terms.items() if c})
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
+        """The terms keyed by exponent tuples, built on each read."""
+        unpack = self.ring.unpack
+        return {unpack(m): c for m, c in self._terms.items()}
+
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
-        return max(map(sum, self.terms), default=0)
+        return max(self._terms, default=0) >> self.ring.shift
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, hash(frozenset(self._terms.items())))
+            return self._hash
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -129,8 +164,8 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             c += out.get(m, 0)
             if c:
                 out[m] = _exact(c)
@@ -141,7 +176,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _make(self.ring, {m: -c for m, c in self.terms.items()})
+        return _make(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -151,25 +186,27 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
-        left, right = self.terms, other.terms
+        ring, left, right = self.ring, self._terms, other._terms
         if not left or not right:
-            return _make(self.ring, {})
+            return _make(ring, {})
         # the top-degree pair of terms is always formed
-        check_degree(self.ring, max(map(sum, left)) + max(map(sum, right)))
-        out: dict[tuple[int, ...], Scalar] = {}
+        check_degree(ring, (max(left) >> ring.shift) + (max(right) >> ring.shift))
+        out: dict[int, Scalar] = {}
         get = out.get
         for m1, c1 in left.items():
             for m2, c2 in right.items():
-                mono = tuple(map(add, m1, m2))
-                out[mono] = get(mono, 0) + c1 * c2
-        return Poly(self.ring, out)
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return _make(ring, {m: _exact(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise InputError("negative polynomial power")
-        return reduce(mul, [self] * exponent, self.ring.one())
+        if self._terms:  # a power has exactly ``exponent`` times the degree
+            check_degree(self.ring, exponent * self.total_degree())
+        return reduce(mul, [self] * exponent) if exponent else self.ring.one()
 
     # -- substitution and inspection ----------------------------------------
 
@@ -178,48 +215,54 @@ class Poly:
 
         A coordinate whose image is its own variable only shifts exponents;
         each distinct exponent pattern of the other coordinates is expanded
-        once.  Every term is checked against the degree cap first, as if its
-        product were multiplied out.
+        once.  Every term is checked against the degree cap, as if its
+        product were multiplied out, before it is added in.
         """
         ring = self.ring
         if len(images) != ring.num_coords:
             raise InputError("need one image per coordinate variable")
         if any(img.ring is not ring and img.ring != ring for img in images):
             raise InputError("polynomials from different rings")
+        w, shift, field = ring.width, ring.shift, (1 << ring.width) - 1
         moved = [
-            i for i, (img, x) in enumerate(zip(images, ring.variables))
+            (i * w, img, img.total_degree() - 1)
+            for i, (img, x) in enumerate(zip(images, ring.variables))
             if img is not x and img != x
         ]
-        extra = [(i, images[i].total_degree() - 1) for i in moved]
-        for mono in self.terms:
-            check_degree(ring, sum(mono) + sum(mono[i] * d for i, d in extra))
         if not moved:
+            check_degree(ring, self.total_degree())
             return self
-        keep = [1] * ring.num_vars
-        for i in moved:
-            keep[i] = 0
-        expanded: dict[tuple[int, ...], Poly] = {}
-        out: dict[tuple[int, ...], Scalar] = {}
-        for mono, coef in self.terms.items():
-            key = tuple(mono[i] for i in moved)
-            if key not in expanded:
-                powers = [images[i] ** e for i, e in zip(moved, key) if e]
-                expanded[key] = reduce(mul, powers, ring.one())
-            shift = tuple(map(mul, mono, keep))
-            for m, c in expanded[key].terms.items():
-                m = tuple(map(add, shift, m))
-                out[m] = out.get(m, 0) + coef * c
-        return Poly(ring, out)
+        fields = sum(field << at for at, _, _ in moved)
+        expanded, out = {}, {}
+        get = out.get
+        for key, coef in self._terms.items():
+            part = key & fields
+            if part not in expanded:
+                exps = [(part >> at & field, img, d) for at, img, d in moved]
+                powers = [img**e for e, img, _ in exps if e]
+                expanded[part] = (
+                    sum(e * d for e, _, d in exps),
+                    part + (sum(e for e, _, _ in exps) << shift),
+                    reduce(mul, powers)._terms if powers else {0: 1},
+                )
+            extra, moved_part, terms = expanded[part]
+            check_degree(ring, (key >> shift) + extra)
+            rest = key - moved_part
+            for m, c in terms.items():
+                m += rest
+                out[m] = get(m, 0) + coef * c
+        return _make(ring, {m: _exact(c) for m, c in out.items() if c})
 
     def coefficient(self, mono: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(mono), 0)
+        return self._terms.get(self.ring.pack(mono), 0)
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
         bits = []
-        for mono in sorted(self.terms):
-            coef = self.terms[mono]
+        terms = self.terms
+        for mono in sorted(terms):
+            coef = terms[mono]
             vars_part = "*".join(
                 f"{self.ring.var_name(i)}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)
@@ -237,11 +280,12 @@ class Poly:
 
 
 _set_ring = Poly.ring.__set__
-_set_terms = Poly.terms.__set__
+_set_terms = Poly._terms.__set__
+_set_hash = Poly._hash.__set__
 
 
-def _make(ring: PolyRing, terms: dict[tuple[int, ...], Scalar]) -> Poly:
-    """Trusted constructor: ``terms`` are non-zero and already normalised."""
+def _make(ring: PolyRing, terms: dict[int, Scalar]) -> Poly:
+    """Trusted constructor: ``terms`` are packed, non-zero and normalised."""
     p = object.__new__(Poly)
     _set_ring(p, ring)
     _set_terms(p, terms)

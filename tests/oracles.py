@@ -16,16 +16,22 @@ facet search.  The CLI's JSON writer is checked against the standard
 library's encoder (``stdlib_json``), which it replaced.  The root graph is
 rebuilt from all ordered pairs of roots (``all_pairs_root_graph``), the way
 ``toricroots.groups.root_graph`` did before it read the level-scanned sum
-triples.
+triples.  ``TuplePoly`` is ``toricroots.poly.Poly`` as it was before its
+monomials were packed into ints: terms keyed by exponent tuples, and powers
+multiplied out from one.
 """
 
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from toricroots import InputError, InvariantViolation, RootSet, positive_roots
+from toricroots import (
+    DegreeCapError, InputError, InvariantViolation, RootSet, positive_roots,
+)
 from toricroots.fan import Bilateralization, RayList, RayMatrix
 from toricroots.groups import Arrow, RootGraph
 from toricroots.lattice import IntVector, as_vector
@@ -220,6 +226,105 @@ def termwise_substitute(p, images):
             term = term * Poly(ring, {param_part: 1})
         total = total + term
     return total
+
+
+class TuplePoly:
+    """A polynomial as a dict from exponent tuples to exact non-zero
+    coefficients.  ``ring`` is a ``toricroots.poly.PolyRing``, read only for
+    its variable layout, names and degree cap.  Every product is checked
+    against the cap on its top-degree pair of terms, and a substitution on
+    every term first, as ``Poly`` does."""
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = {}
+        for m, c in terms.items():
+            c = Fraction(c)
+            if c:
+                self.terms[tuple(m)] = c.numerator if c.denominator == 1 else c
+
+    def _check(self, degree):
+        if degree > self.ring.degree_cap:
+            raise DegreeCapError(
+                f"total degree exceeded the cap of {self.ring.degree_cap} during multiplication"
+            )
+
+    def _coerce(self, other):
+        if isinstance(other, TuplePoly):
+            return other
+        return TuplePoly(self.ring, {(0,) * self.ring.num_vars: other})
+
+    def total_degree(self):
+        return max(map(sum, self.terms), default=0)
+
+    def __eq__(self, other):
+        return self.ring == other.ring and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in self._coerce(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return TuplePoly(self.ring, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TuplePoly(self.ring, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        left, right = self.terms, self._coerce(other).terms
+        if not left or not right:
+            return TuplePoly(self.ring, {})
+        self._check(max(map(sum, left)) + max(map(sum, right)))
+        out = {}
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                mono = tuple(map(add, m1, m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return TuplePoly(self.ring, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        return reduce(mul, [self] * exponent, self._coerce(1))
+
+    def substitute(self, images):
+        ring = self.ring
+        units = [tuple(int(i == j) for j in range(ring.num_vars)) for i in range(ring.num_coords)]
+        moved = [i for i, img in enumerate(images) if img.terms != {units[i]: 1}]
+        for mono in self.terms:
+            self._check(sum(mono) + sum(mono[i] * (images[i].total_degree() - 1) for i in moved))
+        out = TuplePoly(ring, {})
+        for mono, coef in self.terms.items():
+            fixed = tuple(0 if i in moved else e for i, e in enumerate(mono))
+            powers = [images[i] ** mono[i] for i in moved]
+            out = out + reduce(mul, powers, TuplePoly(ring, {fixed: coef}))
+        return out
+
+    def coefficient(self, mono):
+        return self.terms.get(tuple(mono), 0)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for mono in sorted(self.terms):
+            coef = self.terms[mono]
+            vars_part = "*".join(
+                self.ring.var_name(i) + (f"^{e}" if e > 1 else "") for i, e in enumerate(mono) if e
+            )
+            if not vars_part:
+                bits.append(str(coef))
+            elif coef == 1:
+                bits.append(vars_part)
+            elif coef == -1:
+                bits.append(f"-{vars_part}")
+            else:
+                bits.append(f"{coef}*{vars_part}")
+        return " + ".join(bits).replace("+ -", "- ")
 
 
 def dense_unitriangular_product(X, Y, k, ring):

@@ -88,8 +88,9 @@ SEQUENCE_M12 = "7,1,3,1,3,2,2,2,2,4,0,-3"
 ROOT_HEAVY_FAN = "60 1 1"
 
 #: ``verify`` on surfaces and P(1,2,3,5): the first exceeds the degree cap
-#: (exit 1), the others hold up to 187 conjugation pairs.
-VERIFY_FANS = ["40 1", "20 1", "12 7 1", "5 3 2 1"]
+#: (exit 1), the others hold up to 187 conjugation pairs.  The last exceeds
+#: it with a root monomial whose exponent 300 does not fit an exponent field.
+VERIFY_FANS = ["40 1", "20 1", "12 7 1", "5 3 2 1", "300 1"]
 
 FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
                 "type", "split", "verify"]

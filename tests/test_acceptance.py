@@ -343,3 +343,14 @@ def test_criterion_18_series_reads_one_level_scanned_relation():
         rep = series_report(umax_rootset(A))
     assert (rep.nilpotency_class, rep.derived_length, len(rep.derived)) == (121, 3, 4)
     report(18, t, "series of [[60,1,1]] (1894 positive roots), roots built")
+
+
+def test_criterion_19_symbolic_battery_uses_packed_monomials():
+    A = validate_ray_matrix([[30, 20, 10, 1]], 4)
+    positive_roots(A)
+    with Timer(2.0) as t:
+        checks = verify_all(A)
+    assert tuple((c.cases, c.ok) for c in checks) == (
+        (121, True), (3827, True), (3827, True), (4, True)
+    )
+    report(19, t, "every symbolic identity of P(1,10,20,30) verified")

@@ -502,6 +502,11 @@ def test_equal_coefficients_give_equal_automorphisms(p123):
     autos = [root_automorphism(p123, e, c, ring) for c in same]
     assert autos[0] is autos[1] and autos[1] == autos[2]
     assert autos[0] == root_automorphism(p123, e, 2, ring_for(p123))
+    # and on equal polynomial coefficients built by different routes
+    a = ring.param("a")
+    first = root_automorphism(p123, e, a + a, ring)
+    assert root_automorphism(p123, e, 2 * a, ring) is first
+    assert root_automorphism(p123, e, ring.param("a") * Fraction(4, 2), ring) is first
 
 
 def test_battery_expands_each_word_once_and_each_automorphism_once(monkeypatch):
