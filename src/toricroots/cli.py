@@ -64,7 +64,7 @@ def _load_input_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, long ints
         raise InputError(f"input file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("input document must be a JSON object")
@@ -218,7 +218,7 @@ def _roots(args) -> tuple[int, dict]:
     A, base = _canonical(args)
     system = roots.demazure_roots(A)
     pos = roots.positive_roots(A)
-    pre = roots.column_preorder(A)
+    pre = system.preorder
     return 0, {
         **base,
         "classes": [[i + 1 for i in cls] for cls in pre.classes],

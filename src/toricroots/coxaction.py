@@ -30,7 +30,6 @@ from .poly import Poly, PolyRing, check_degree
 from .roots import (
     DemazureRoot,
     KIND_ELEMENTARY,
-    column_preorder,
     demazure_roots,
     positive_roots,
     require_positive_root,
@@ -228,7 +227,7 @@ def verify_all(A: RayMatrix) -> tuple[VerificationCheck, ...]:
     checks.append(VerificationCheck("first-order-bracket", len(pairs), first_ok))
 
     # the matrix model reuses the automorphism sides proved above
-    classes = column_preorder(A).classes
+    classes = demazure_roots(A).preorder.classes
     embed_ok = all(
         _class_model_holds(A, cls, ring, law.__getitem__, lambda e, f: conjugation[e, f])
         for cls in classes

@@ -43,7 +43,6 @@ from .roots import (
     KIND_BASIC,
     RootSystem,
     _sum_triples,
-    column_preorder,
     demazure_roots,
     positive_roots,
 )
@@ -321,7 +320,7 @@ class UmaxReport:
 
 def umax_shape(A: RayMatrix) -> UmaxReport:
     pos = positive_roots(A)
-    pre = column_preorder(A)
+    pre = demazure_roots(A).preorder
     blocks = []
     sizes = []
     for cls in pre.classes:
@@ -353,7 +352,7 @@ class UssReport:
 def uss_shape(A: RayMatrix) -> UssReport:
     system = demazure_roots(A)
     pos = positive_roots(A)
-    pre = column_preorder(A)
+    pre = system.preorder
     factors = []
     simple = 0
     for cls in pre.classes:
@@ -397,7 +396,7 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
     if mask == (1 << len(table.positive)) - 1:
         # for U_max the center indices are the smallest members of the
         # maximal column classes; verify
-        pre = column_preorder(A)
+        pre = table.preorder
         expected = tuple(sorted(cls[0] for cls in pre.maximal_classes(pre.classes)))
         if expected != indices:
             raise InvariantViolation(

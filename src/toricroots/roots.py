@@ -13,8 +13,9 @@ determined by the ray matrix ``A`` alone:
 
 Roots are classified as *basic* (``-q_i``), *elementary* (``-q_i + q_j``),
 *special* (all other roots on basis rays; always unipotent) or *detached*
-(on non-basis rays; always semisimple).  A root is *semisimple* when its
-negative is also a root.
+(on non-basis rays; always semisimple): on a basis ray the kind is read off
+``sum(b) = sum(e) + 1``, which is 0, 1 or more.  A root is *semisimple* when
+its negative is also a root.
 
 The entrywise order on columns of ``A`` drives everything downstream:
 ``i >= j`` iff column ``v_i >= v_j``, and equal columns form equivalence
@@ -83,17 +84,6 @@ def display(coords: Sequence[int]) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-def _classify(coords: IntVector, ray: int, n: int) -> str:
-    if ray >= n:
-        return KIND_DETACHED
-    nonzero = [(j, c) for j, c in enumerate(coords) if c != 0]
-    if nonzero == [(ray, -1)]:
-        return KIND_BASIC
-    if len(nonzero) == 2 and (ray, -1) in nonzero and any(c == 1 for _, c in nonzero):
-        return KIND_ELEMENTARY
-    return KIND_SPECIAL
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """All Demazure roots of a ray matrix, grouped by ray, and the one table
@@ -118,16 +108,20 @@ class RootSystem:
         return {r.coords: r for r in self.roots}
 
     @cached_property
+    def preorder(self) -> "ColumnPreorder":
+        return column_preorder(self.matrix)
+
+    @cached_property
     def levels(self) -> tuple[tuple[DemazureRoot, ...], ...]:
-        """The positive roots by basis ray (see ``positive_roots``)."""
+        """The positive roots by basis ray (see ``positive_roots``): on ray
+        ``i`` the roots that vanish below ``i``."""
         n = self.matrix.n
-        if not satisfies_canonical_condition(self.matrix):
+        if not self.preorder.canonical:
             raise NotCanonicalError(
                 "ray matrix is not in canonical column order; apply canonical_reorder first"
             )
         levels = tuple(
-            tuple(r for r in self.by_ray[i] if is_positive_form(r.coords, i))
-            for i in range(n)
+            tuple(r for r in self.by_ray[i] if not any(r.coords[:i])) for i in range(n)
         )
         last = levels[n - 1]
         if len(last) != 1 or last[0].kind != KIND_BASIC:
@@ -178,8 +172,9 @@ def _search_basis_ray(cols: tuple[IntVector, ...], i: int, found: list) -> None:
     residuals ``r_k = a_{ki} - sum_j b_j a_{kj}``; ``b_j`` runs up to
     ``min_k r_k // a_{kj}`` over the rows with ``a_{kj} > 0``.  Since ``b = 0``
     on the remaining coordinates keeps every residual non-negative, each node
-    leads to a root and the work is O(roots * n * rows).  Raises
-    ``CapExceededError`` before ``found`` would exceed ``MAX_ROOTS``.
+    leads to a root and the work is O(roots * n * rows).  The roots come in
+    ascending order of ``e``.  Raises ``CapExceededError`` before ``found``
+    would exceed ``MAX_ROOTS``.
     """
     others = [j for j in range(len(cols)) if j != i]
     e = [0] * len(cols)
@@ -221,43 +216,41 @@ def demazure_roots(A: RayMatrix) -> RootSystem:
     points ``b >= 0`` of the knapsack polytope ``{A' b <= a_i}`` (``A'`` is
     ``A`` without column ``i``), found by the residual-pruned depth-first
     search of ``_search_basis_ray``: its cost grows with the roots found, not
-    with the column entries.  Detached roots come from the unit-column test.
-    More than ``MAX_ROOTS`` roots raise ``CapExceededError``.
+    with the column entries, and it emits them sorted.  Detached roots come
+    from the unit-column test.  Only basic and elementary roots can be
+    semisimple (a root's negative entries sum to -1 or 0, those of ``-e`` to
+    ``-sum(b)``), so only they look ``-e`` up; detached ``q_i`` are, as
+    ``-q_i`` is basic.  More than ``MAX_ROOTS`` roots raise ``CapExceededError``.
     """
     n, m = A.n, A.m
     cols = A.columns
-    found: list[tuple[int, IntVector]] = []
-    for i in range(n):
-        col = cols[i]
-        if sum(col) == 1 and max(col) == 1:
-            k = col.index(1)
-            e = tuple(1 if j == i else 0 for j in range(n))
-            found.append((n + k, e))
+    # the unit column i = e_k makes q_i a root on ray n + k
+    detached = sorted(
+        (n + col.index(1), tuple(int(j == i) for j in range(n)))
+        for i, col in enumerate(cols)
+        if sum(col) == 1 and max(col) == 1
+    )
+    found = list(detached)  # counted against MAX_ROOTS with the rest
+    cuts = [len(found)]
     for i in range(n):
         _search_basis_ray(cols, i, found)
+        cuts.append(len(found))
 
-    coords_set = {e for _, e in found}
+    low = {e for ray, e in found if ray >= n or sum(e) <= 0}  # sum(b) <= 1
+    kinds = (KIND_BASIC, KIND_ELEMENTARY)
     roots = []
     for ray, e in found:
-        neg = tuple(-x for x in e)
-        roots.append(
-            DemazureRoot(
-                ray=ray,
-                coords=e,
-                kind=_classify(e, ray, n),
-                semisimple=neg in coords_set,
-            )
-        )
-    roots.sort()
-    buckets: list[list[DemazureRoot]] = [[] for _ in range(m)]
-    for r in roots:
-        buckets[r.ray].append(r)
-    by_ray = tuple(map(tuple, buckets))
-    system = RootSystem(matrix=A, roots=tuple(roots), by_ray=by_ray)
-    for i in range(n):
-        if not any(r.kind == KIND_BASIC for r in by_ray[i]):
-            raise InvariantViolation(f"basic root missing on ray {i}")
-    return system
+        s = sum(e) + 1  # sum(b) on a basis ray
+        if ray >= n:
+            roots.append(DemazureRoot(ray, e, KIND_DETACHED, True))
+        elif s > 1:
+            roots.append(DemazureRoot(ray, e, KIND_SPECIAL, False))
+        else:
+            roots.append(DemazureRoot(ray, e, kinds[s], tuple(-x for x in e) in low))
+    d = cuts[0]
+    by_ray = [tuple(roots[a:b]) for a, b in zip(cuts, cuts[1:])]
+    by_ray += [tuple(r for r in roots[:d] if r.ray == l) for l in range(n, m)]
+    return RootSystem(matrix=A, roots=tuple(roots[d:] + roots[:d]), by_ray=tuple(by_ray))
 
 
 @dataclass(frozen=True)
@@ -268,7 +261,6 @@ class ColumnPreorder:
     indices into groups of equal columns, listed by smallest member.
     """
 
-    n: int
     geq: tuple[tuple[bool, ...], ...]
     classes: tuple[tuple[int, ...], ...]
 
@@ -290,17 +282,21 @@ class ColumnPreorder:
         return all(cls[-1] - cls[0] + 1 == len(cls) for cls in self.classes)
 
     @property
+    def canonical(self) -> bool:
+        """True when equal columns form consecutive segments and no later
+        class strictly dominates an earlier one."""
+        reps = [cls[0] for cls in self.classes]
+        return self.segments_ok and not any(
+            self.strictly_dominates(rt, rs) for s, rs in enumerate(reps) for rt in reps[s + 1:]
+        )
+
+    @property
     def cuts(self) -> Optional[tuple[int, ...]]:
         """Cumulative class boundaries ``0 = c_0 < ... < c_r = n`` when the
         classes are consecutive segments in stored order, else ``None``."""
         if not self.segments_ok:
             return None
-        out = [0]
-        for cls in self.classes:
-            if cls[0] != out[-1]:
-                return None
-            out.append(cls[-1] + 1)
-        return tuple(out) if out[-1] == self.n else None
+        return (0,) + tuple(cls[-1] + 1 for cls in self.classes)
 
     def maximal_classes(self, among: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
         """The classes of ``among`` that no other class of ``among`` strictly
@@ -326,22 +322,12 @@ def column_preorder(A: RayMatrix) -> ColumnPreorder:
     seen: dict[IntVector, list[int]] = {}
     for i, col in enumerate(cols):
         seen.setdefault(col, []).append(i)
-    classes = tuple(sorted((tuple(v) for v in seen.values()), key=lambda c: c[0]))
-    return ColumnPreorder(n=n, geq=geq, classes=classes)
+    classes = tuple(map(tuple, seen.values()))  # first seen at its smallest member
+    return ColumnPreorder(geq=geq, classes=classes)
 
 
 def satisfies_canonical_condition(A: RayMatrix) -> bool:
-    """True when equal columns form consecutive segments and no later class
-    strictly dominates an earlier one."""
-    pre = column_preorder(A)
-    if not pre.segments_ok:
-        return False
-    reps = [cls[0] for cls in pre.classes]
-    for s, rs in enumerate(reps):
-        for rt in reps[s + 1:]:
-            if pre.strictly_dominates(rt, rs):
-                return False
-    return True
+    return column_preorder(A).canonical
 
 
 def canonical_reorder(A: RayMatrix) -> tuple[tuple[int, ...], RayMatrix]:
@@ -351,11 +337,12 @@ def canonical_reorder(A: RayMatrix) -> tuple[tuple[int, ...], RayMatrix]:
     unchanged with the identity permutation.  Otherwise classes are ordered
     topologically (dominating classes first); incomparable ties are broken by
     class size descending, then by lexicographically smallest column.  The
-    permutation maps new column position to old column index.
+    permutation maps new column position to old column index.  The new
+    matrix is not validated again: permuting columns keeps every invariant.
     """
-    if satisfies_canonical_condition(A):
-        return tuple(range(A.n)), A
     pre = column_preorder(A)
+    if pre.canonical:
+        return tuple(range(A.n)), A
     cols = A.columns
     remaining = list(pre.classes)
     ordered: list[tuple[int, ...]] = []
@@ -365,7 +352,7 @@ def canonical_reorder(A: RayMatrix) -> tuple[tuple[int, ...], RayMatrix]:
         remaining.remove(best)
     perm = tuple(i for cls in ordered for i in cls)
     rows = tuple(tuple(row[old] for old in perm) for row in A.rows)
-    return perm, RayMatrix.validate(rows, A.n)
+    return perm, RayMatrix(A.n, rows)
 
 
 def is_positive_form(coords: IntVector, ray: int) -> bool:

@@ -197,7 +197,7 @@ def surface_report(seq: SurfaceSequence) -> SurfaceReport:
     if witness is None:
         raise NotRadiantError(f"sequence {seq.c} is not radiant")
     perm, A = roots.canonical_reorder(witness.matrix)
-    pre = roots.column_preorder(A)
+    pre = roots.demazure_roots(A).preorder
     pos = roots.positive_roots(A)
     series = groups.series_report(groups.umax_rootset(A))
     enum = groups.enumerate_open_orbit_subgroups(A)

@@ -18,7 +18,10 @@ rebuilt from all ordered pairs of roots (``all_pairs_root_graph``), the way
 ``toricroots.groups.root_graph`` did before it read the level-scanned sum
 triples.  ``TuplePoly`` is ``toricroots.poly.Poly`` as it was before its
 monomials were packed into ints: terms keyed by exponent tuples, and powers
-multiplied out from one.
+multiplied out from one.  ``classified_roots`` is the root table the way
+``toricroots.roots.demazure_roots`` built it before it read each root's kind
+off its coordinate sum: kinds from the non-zero coordinates, the semisimple
+test by negating every root, and one sort of all roots.
 """
 
 import itertools
@@ -37,7 +40,9 @@ from toricroots.groups import Arrow, RootGraph
 from toricroots.lattice import IntVector, as_vector
 from toricroots.liealg import bracket
 from toricroots.poly import Poly
-from toricroots.roots import DemazureRoot
+from toricroots.roots import (
+    KIND_BASIC, KIND_DETACHED, KIND_ELEMENTARY, KIND_SPECIAL, DemazureRoot, _search_basis_ray,
+)
 
 
 def pairing_vector(A, e):
@@ -92,6 +97,53 @@ def orthant_box_roots(A):
             if all(sum(a * x for a, x in zip(row, e)) <= 0 for row in A.rows):
                 found.add((i, tuple(e)))
     return found
+
+
+def _classify(coords: IntVector, ray: int, n: int) -> str:
+    if ray >= n:
+        return KIND_DETACHED
+    nonzero = [(j, c) for j, c in enumerate(coords) if c != 0]
+    if nonzero == [(ray, -1)]:
+        return KIND_BASIC
+    if len(nonzero) == 2 and (ray, -1) in nonzero and any(c == 1 for _, c in nonzero):
+        return KIND_ELEMENTARY
+    return KIND_SPECIAL
+
+
+def classified_roots(A):
+    """``(roots, by_ray)`` of ``A``: the roots that the library's search and
+    unit-column test find (both gated by the box scans above), each
+    classified from its non-zero coordinates and called semisimple when its
+    negation is among them, then all sorted and bucketed by ray."""
+    n, m = A.n, A.m
+    cols = A.columns
+    found = []
+    for i in range(n):
+        col = cols[i]
+        if sum(col) == 1 and max(col) == 1:
+            k = col.index(1)
+            e = tuple(1 if j == i else 0 for j in range(n))
+            found.append((n + k, e))
+    for i in range(n):
+        _search_basis_ray(cols, i, found)
+
+    coords_set = {e for _, e in found}
+    roots = []
+    for ray, e in found:
+        neg = tuple(-x for x in e)
+        roots.append(
+            DemazureRoot(
+                ray=ray,
+                coords=e,
+                kind=_classify(e, ray, n),
+                semisimple=neg in coords_set,
+            )
+        )
+    roots.sort()
+    buckets = [[] for _ in range(m)]
+    for r in roots:
+        buckets[r.ray].append(r)
+    return tuple(roots), tuple(map(tuple, buckets))
 
 
 def brute_force_open_orbit_rootsets(A):

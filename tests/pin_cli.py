@@ -87,6 +87,9 @@ SEQUENCE_M12 = "7,1,3,1,3,2,2,2,2,4,0,-3"
 #: A root-heavy fan: 1 894 positive roots, 1 891 of them on the first level.
 ROOT_HEAVY_FAN = "60 1 1"
 
+#: Fans with detached roots: two on one ray, and two on each of two rays.
+DETACHED_FANS = ["1 1 2; 0 0 1", "1 1 0 0; 0 0 1 1"]
+
 #: ``verify`` on surfaces and P(1,2,3,5): the first exceeds the degree cap
 #: (exit 1), the others hold up to 187 conjugation pairs.  The last exceeds
 #: it with a root monomial whose exponent 300 does not fit an exponent field.
@@ -167,6 +170,9 @@ def commands() -> list[list[str]]:
         out += [["verify", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
     for cmd in ("series", "center", "type"):
         out += [[cmd, "--ray-matrix", ROOT_HEAVY_FAN, "--format", f] for f in _formats(cmd)]
+    for fan in DETACHED_FANS:
+        for cmd in ("roots", "umax", "center"):
+            out += [[cmd, "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
     return out
 
 

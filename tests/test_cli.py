@@ -190,6 +190,24 @@ def test_malformed_inputs_exit_two(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"n": 1, "ray_matrix": [[1]], "note": "\xff"}',
+        b'{"n": 1, "ray_matrix": [[1]], "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"n": 1, "ray_matrix": [[' + b"1" * 5000 + b"]]}",
+    ],
+    ids=["not-utf8", "deep-nesting", "huge-int-literal"],
+)
+def test_unreadable_input_files_exit_two(tmp_path, capsys, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "roots", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input file is not valid JSON: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_two_sources_rejected(capsys):
     code, out, err = run(
         capsys, "roots", "--ray-matrix", "1 1", "--rays", "1 0; 0 1; -1 -1"

@@ -13,11 +13,11 @@ from toricroots import (
     positive_roots,
     validate_ray_matrix,
 )
-from toricroots import roots
-from toricroots.roots import satisfies_canonical_condition
+from toricroots import cli, roots
+from toricroots.roots import is_positive_form, satisfies_canonical_condition
 
 from conftest import incomparable_columns_matrix, projective_space, random_ray_matrices
-from oracles import box_scan_roots, orthant_box_roots
+from oracles import box_scan_roots, classified_roots, orthant_box_roots
 
 
 def coords_by_ray(A):
@@ -194,6 +194,47 @@ def test_search_matches_orthant_box_scan_on_large_entries():
         system = demazure_roots(A)
         found = {(r.ray, r.coords) for r in system.roots if r.ray < A.n}
         assert found == orthant_box_roots(A)
+
+
+def classification_fans():
+    """Seeded rank 2-5 matrices, fans with detached roots (two on one ray;
+    two on each of two rays), [[k, 1, 1]] for k <= 40 and P(1,2,3,4,6,8,12)."""
+    fans = [A for A in random_ray_matrices(60, seed=1414, max_n=5, max_rows=4) if A.n >= 2]
+    fans += [canonical_reorder(validate_ray_matrix(rows, n))[1] for rows, n in [
+        ([[1, 1, 2], [0, 0, 1]], 3), ([[1, 1, 0, 0], [0, 0, 1, 1]], 4)]]
+    fans += [validate_ray_matrix([[k, 1, 1]], 3) for k in range(1, 41)]
+    fans.append(validate_ray_matrix([[12, 8, 6, 4, 3, 2, 1]], 7))
+    return fans
+
+
+def test_root_table_matches_the_classified_sorted_oracle():
+    seen = set()
+    for A in classification_fans():
+        system = demazure_roots(A)
+        assert (system.roots, system.by_ray) == classified_roots(A)
+        assert system.levels == tuple(
+            tuple(r for r in system.by_ray[i] if is_positive_form(r.coords, i))
+            for i in range(A.n)
+        )
+        seen |= {(r.kind, r.semisimple) for r in system.roots}
+    # every kind, and both parities of basic and elementary roots, came up
+    assert seen == {("basic", False), ("basic", True), ("elementary", False),
+                    ("elementary", True), ("special", False), ("detached", True)}
+
+
+def test_umax_builds_one_column_preorder_per_matrix(monkeypatch, capsys):
+    calls = []
+    real = roots.column_preorder
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(roots, "column_preorder", counted)
+    demazure_roots.cache_clear()
+    assert cli.main(["umax", "--ray-matrix", "1 2 3"]) == 0
+    # one for canonical_reorder's input, one for the root table of its output
+    assert len(calls) == 2
 
 
 def test_root_cap(monkeypatch):
