@@ -26,7 +26,7 @@ from . import coxaction, groups, roots, surfaces
 from .errors import DomainError, InputError, NotBilateralError, NotRadiantError, ResultCapError, ToricError
 from .fan import Bilateralization, RayList, RayMatrix, bilateralize
 from .groups import AbelianPower, DirectProduct, RootGraph, RootSet, Semidirect, TriangularBlock
-from .jsonout import dumps
+from .jsonout import pieces
 from .lattice import as_int
 
 SCHEMA_VERSION = 1
@@ -546,6 +546,22 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+#: Characters of output joined into one write.
+_BATCH = 1 << 20
+
+
+def _emit(out: list[str]) -> None:
+    """Write the pieces of a whole report to stdout in batches of about
+    ``_BATCH`` characters, so that its text never exists in one piece."""
+    start = size = 0
+    for stop, piece in enumerate(out, 1):
+        size += len(piece)
+        if size >= _BATCH:
+            sys.stdout.write("".join(out[start:stop]))
+            start, size = stop, 0
+    sys.stdout.write("".join(out[start:]))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_values(argv))
@@ -554,10 +570,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         exit_code, payload = compute(args)
         if args.format == "json":
             header = {"schema_version": SCHEMA_VERSION, "command": args.cmd}
-            text = dumps({**header, **payload})
+            out = pieces({**header, **payload})
+            out.append("\n")
         else:
-            text = "\n".join(table(payload))
-        sys.stdout.write(text + "\n")
+            out = ["\n".join(table(payload)), "\n"]
+        _emit(out)
         return exit_code
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

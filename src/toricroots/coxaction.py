@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import comb
 from typing import Optional, Sequence, Union
 
@@ -26,7 +26,7 @@ from . import liealg
 from .errors import InputError, InvariantViolation
 from .fan import RayMatrix
 from .lattice import IntVector
-from .poly import Poly, PolyRing, check_degree
+from .poly import Poly, PolyRing, Substitution, check_degree
 from .roots import (
     DemazureRoot,
     KIND_ELEMENTARY,
@@ -52,6 +52,12 @@ class PolyAutomorphism:
     @classmethod
     def identity(cls, ring: PolyRing) -> "PolyAutomorphism":
         return cls(ring, ring.variables)
+
+    @cached_property
+    def substitution(self) -> Substitution:
+        """The substitution of these images, prepared once: a root
+        automorphism is the right factor of many compositions."""
+        return Substitution(self.ring, self.images)
 
 
 def theta(A: RayMatrix, root: DemazureRoot) -> tuple[int, ...]:
@@ -97,10 +103,11 @@ def compose(g: PolyAutomorphism, h: PolyAutomorphism) -> PolyAutomorphism:
     ring = g.ring
     if h.ring is not ring and h.ring != ring:
         raise InputError("automorphisms live in different rings")
+    substitute = h.substitution
     images = []
     for img, var, h_img in zip(g.images, ring.variables, h.images):
         if img is not var and img != var:
-            images.append(img.substitute(h.images))
+            images.append(substitute(img))
         else:
             check_degree(ring, h_img.total_degree())
             images.append(h_img)

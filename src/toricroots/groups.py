@@ -220,8 +220,12 @@ def _next_closure(table: RootSystem, closed: int) -> Optional[int]:
 def _finish_enumeration(
     table: RootSystem, found: list[int], complete: bool
 ) -> EnumerationResult:
-    ordered = tuple(sorted((_rootset(table, mask) for mask in found), key=RootSet.sort_key))
-    hist = Counter(rs.dimension for rs in ordered)
+    # Positive roots are numbered in sorted order, so sorting by
+    # (dimension, members) gives the order of ``RootSet.sort_key``.
+    keyed = sorted((mask.bit_count(), _members(mask)) for mask in found)
+    n, root = table.matrix.n, table.positive.__getitem__
+    ordered = tuple(RootSet(n, tuple(map(root, members))) for _, members in keyed)
+    hist = Counter(dimension for dimension, _ in keyed)
     return EnumerationResult(ordered, tuple(sorted(hist.items())), complete)
 
 

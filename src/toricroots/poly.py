@@ -211,47 +211,9 @@ class Poly:
     # -- substitution and inspection ----------------------------------------
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Replace coordinate variable ``i`` by ``images[i]``; parameters stay.
-
-        A coordinate whose image is its own variable only shifts exponents;
-        each distinct exponent pattern of the other coordinates is expanded
-        once.  Every term is checked against the degree cap, as if its
-        product were multiplied out, before it is added in.
-        """
-        ring = self.ring
-        if len(images) != ring.num_coords:
-            raise InputError("need one image per coordinate variable")
-        if any(img.ring is not ring and img.ring != ring for img in images):
-            raise InputError("polynomials from different rings")
-        w, shift, field = ring.width, ring.shift, (1 << ring.width) - 1
-        moved = [
-            (i * w, img, img.total_degree() - 1)
-            for i, (img, x) in enumerate(zip(images, ring.variables))
-            if img is not x and img != x
-        ]
-        if not moved:
-            check_degree(ring, self.total_degree())
-            return self
-        fields = sum(field << at for at, _, _ in moved)
-        expanded, out = {}, {}
-        get = out.get
-        for key, coef in self._terms.items():
-            part = key & fields
-            if part not in expanded:
-                exps = [(part >> at & field, img, d) for at, img, d in moved]
-                powers = [img**e for e, img, _ in exps if e]
-                expanded[part] = (
-                    sum(e * d for e, _, d in exps),
-                    part + (sum(e for e, _, _ in exps) << shift),
-                    reduce(mul, powers)._terms if powers else {0: 1},
-                )
-            extra, moved_part, terms = expanded[part]
-            check_degree(ring, (key >> shift) + extra)
-            rest = key - moved_part
-            for m, c in terms.items():
-                m += rest
-                out[m] = get(m, 0) + coef * c
-        return _make(ring, {m: _exact(c) for m, c in out.items() if c})
+        """Replace coordinate variable ``i`` by ``images[i]``; parameters
+        stay.  See ``Substitution``, which serves many polynomials."""
+        return Substitution(self.ring, images)(self)
 
     def coefficient(self, mono: Sequence[int]) -> Scalar:
         return self._terms.get(self.ring.pack(mono), 0)
@@ -277,6 +239,62 @@ class Poly:
             else:
                 bits.append(f"{coef}*{vars_part}")
         return " + ".join(bits).replace("+ -", "- ")
+
+
+class Substitution:
+    """Replacing coordinate variable ``i`` by ``images[i]``, checked and
+    prepared once for all the polynomials it is applied to.
+
+    A coordinate whose image is its own variable only shifts exponents; each
+    distinct exponent pattern of the other coordinates is expanded once.
+    Every term is checked against the degree cap, as if its product were
+    multiplied out, before it is added in.
+    """
+
+    def __init__(self, ring: PolyRing, images: Sequence[Poly]):
+        if len(images) != ring.num_coords:
+            raise InputError("need one image per coordinate variable")
+        if any(img.ring is not ring and img.ring != ring for img in images):
+            raise InputError("polynomials from different rings")
+        w, field = ring.width, (1 << ring.width) - 1
+        self.ring = ring
+        #: ``(bit offset, image, image degree - 1)`` of each moved coordinate
+        self.moved = [
+            (i * w, img, img.total_degree() - 1)
+            for i, (img, x) in enumerate(zip(images, ring.variables))
+            if img is not x and img != x
+        ]
+        self.fields = sum(field << at for at, _, _ in self.moved)
+        #: exponent pattern of the moved coordinates -> its expansion
+        self.expanded: dict[int, tuple[int, int, dict[int, Scalar]]] = {}
+
+    def __call__(self, p: Poly) -> Poly:
+        ring, moved, fields, expanded = self.ring, self.moved, self.fields, self.expanded
+        if p.ring is not ring and p.ring != ring:
+            raise InputError("polynomials from different rings")
+        if not moved:
+            check_degree(ring, p.total_degree())
+            return p
+        shift, field = ring.shift, (1 << ring.width) - 1
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for key, coef in p._terms.items():
+            part = key & fields
+            if part not in expanded:
+                exps = [(part >> at & field, img, d) for at, img, d in moved]
+                powers = [img**e for e, img, _ in exps if e]
+                expanded[part] = (
+                    sum(e * d for e, _, d in exps),
+                    part + (sum(e for e, _, _ in exps) << shift),
+                    reduce(mul, powers)._terms if powers else {0: 1},
+                )
+            extra, moved_part, terms = expanded[part]
+            check_degree(ring, (key >> shift) + extra)
+            rest = key - moved_part
+            for m, c in terms.items():
+                m += rest
+                out[m] = get(m, 0) + coef * c
+        return _make(ring, {m: _exact(c) for m, c in out.items() if c})
 
 
 _set_ring = Poly.ring.__set__

@@ -30,8 +30,10 @@ library; the CLI serializers shift them to 1-based for reports.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InputError, InvariantViolation, NotCanonicalError
@@ -42,6 +44,8 @@ KIND_BASIC = "basic"
 KIND_ELEMENTARY = "elementary"
 KIND_SPECIAL = "special"
 KIND_DETACHED = "detached"
+
+_coords = attrgetter("coords")
 
 #: Cap on the number of Demazure roots of one ray matrix.
 MAX_ROOTS = 1_000_000
@@ -114,14 +118,20 @@ class RootSystem:
     @cached_property
     def levels(self) -> tuple[tuple[DemazureRoot, ...], ...]:
         """The positive roots by basis ray (see ``positive_roots``): on ray
-        ``i`` the roots that vanish below ``i``."""
+        ``i`` the roots that vanish below ``i``.
+
+        Off coordinate ``i`` a root on ray ``i`` is non-negative, so for
+        ``i > 0`` those that vanish below ``i`` are the ones whose first
+        ``i`` coordinates sort before ``(0, ..., 0, 1)``: a prefix of the
+        sorted ``by_ray[i]``."""
         n = self.matrix.n
         if not self.preorder.canonical:
             raise NotCanonicalError(
                 "ray matrix is not in canonical column order; apply canonical_reorder first"
             )
         levels = tuple(
-            tuple(r for r in self.by_ray[i] if not any(r.coords[:i])) for i in range(n)
+            level[:bisect_left(level, (0,) * (i - 1) + (1,), key=_coords)] if i else level
+            for i, level in enumerate(self.by_ray[:n])
         )
         last = levels[n - 1]
         if len(last) != 1 or last[0].kind != KIND_BASIC:

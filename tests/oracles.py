@@ -146,6 +146,15 @@ def classified_roots(A):
     return tuple(roots), tuple(map(tuple, buckets))
 
 
+def vanishing_levels(system):
+    """The positive levels of a root table, each root tested on its own: on
+    basis ray ``i`` the roots whose coordinates below ``i`` all vanish."""
+    return tuple(
+        tuple(r for r in system.by_ray[i] if not any(r.coords[:i]))
+        for i in range(system.matrix.n)
+    )
+
+
 def brute_force_open_orbit_rootsets(A):
     """All subsets of the positive roots that contain the basic roots and
     satisfy the pairwise saturation condition, as frozensets of coordinates.

@@ -90,6 +90,11 @@ ROOT_HEAVY_FAN = "60 1 1"
 #: Fans with detached roots: two on one ray, and two on each of two rays.
 DETACHED_FANS = ["1 1 2; 0 0 1", "1 1 0 0; 0 0 1 1"]
 
+#: Reports far longer than one batch of output: ``roots`` on a fan with
+#: 45 457 roots (about 14 MB of JSON) and ``enumerate`` with 1 193 subgroups.
+MANY_BATCHES = [["roots", "--ray-matrix", "300 1 1"],
+                ["enumerate", "--histogram", "--ray-matrix", "4 3 2 1"]]
+
 #: ``verify`` on surfaces and P(1,2,3,5): the first exceeds the degree cap
 #: (exit 1), the others hold up to 187 conjugation pairs.  The last exceeds
 #: it with a root monomial whose exponent 300 does not fit an exponent field.
@@ -173,6 +178,8 @@ def commands() -> list[list[str]]:
     for fan in DETACHED_FANS:
         for cmd in ("roots", "umax", "center"):
             out += [[cmd, "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
+    for argv in MANY_BATCHES:
+        out += [argv + ["--format", f] for f in ("json", "table")]
     return out
 
 

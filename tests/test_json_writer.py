@@ -3,6 +3,8 @@ bytes on every value it takes, also where one tuple object recurs or equal
 tuples are written differently, ``TypeError`` on any other value, and a
 payload it cannot write ends in exit 3 with nothing on stdout."""
 
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,25 @@ def test_writer_matches_the_stdlib_encoder_on_shared_tuples(value):
 _T = (1, -2)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
 @pytest.mark.parametrize("value", [
     [], {}, (), [[]], [[], [1]], [[1], []], [{}], {"": []}, [(1, 2), [3]],
     [[1, True]], [[1], ["a"]], [1, "a"], [None, False], {"b": 1, "a": {"c": [[0]]}},
@@ -82,6 +103,20 @@ _T = (1, -2)
     [(1, 1), (1, True)], [(1, True), (1, 1)], [[(1, 1)], [(1, True)]],
     [(), ()], [(), (1,), ()], [{"a": (1, 2)}], [{"a": [(1, 2), (1, 2)]}, [(1, 2)]],
     [_T, [_T, [_T]], {"k": [_T, _T]}, (_T, [_T])], [(_T,), (_T,)],
+    # lists of dicts: key sets that differ, one key set in two insertion
+    # orders, empty dicts among them, one key set at several depths
+    [{"a": 1}, {"b": 2}, {"a": 3, "b": [4]}, {"b": {"a": 5}}],
+    [{"a": 1, "b": 2}, {"b": 3, "a": 4}, {"a": 5, "b": 6}],
+    [{"a": 1}, {}, {"a": 2}], [{}, {"a": {}}, {}], [{"a": [{}, {"a": []}]}],
+    {"k": [{"k": [{"k": 1}]}], "a": [[{"k": 2}]]},
+    # dicts that share one tuple object under several keys
+    [{"x": _T, "y": _T, "z": [_T, {"w": _T}]}, {"y": _T, "x": (_T,)}],
+    # lists led by a tuple or a str, with other items after it
+    [_T, 1, "a", [_T], {"k": _T}], [(), {}], ["a", 1, None], ["a", _T],
+    # subclasses, written as their base type
+    _Str("a"), _Int(3), [_Str("a"), "b"], [_Int(1), 2], _List([1, _Int(2)]), _List(),
+    _Dict(a=1), _Dict(), {_Str("k"): _List([_Dict(b=_Str("c"))])}, _Pair(1, 2),
+    [_Pair(1, 2), _Pair(3, 4)], [_T, _Pair(1, 2)], [_Pair(1, 2), _T],
 ])
 def test_writer_on_edge_cases(value):
     assert jsonout.dumps(value) == stdlib_json(value)
@@ -91,6 +126,10 @@ def test_writer_on_edge_cases(value):
     0.5, {1, 2}, [1.0], {"a": [[1, 2.5]]}, {1: "a"}, {"a": 1, 2: "b"}, b"x", object(),
     # a float tuple equal to an int tuple written before it
     [(1,), (1.0,)], [[(1,)], [(1.0,)]], [(1, 2), (1, 2.0)],
+    # a non-str key in the second dict of a list, with or without the keys
+    # of the first
+    [{"a": 1}, {2: "b"}], [{"a": 1}, {"a": 1, 2: "b"}], [{"a": 1}, {True: 1}],
+    [_T, 0.5], ["a", 0.5], [{"a": 1}, {"a": 0.5}],
 ])
 def test_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
@@ -100,6 +139,30 @@ def test_writer_refuses_other_types(value):
 def test_a_float_in_a_payload_exits_three_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(groups, "variety_type", lambda A: 0.5)
     code = cli.main(["type", "--ray-matrix", "1 1"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err == "internal error: TypeError: Object of type float is not JSON serializable\n"
+
+
+def test_a_float_in_the_last_subgroup_of_a_long_report_writes_nothing(capsys, monkeypatch):
+    argv = ["enumerate", "--ray-matrix", "4 3 2 1"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out) > cli._BATCH  # more than one batch
+
+    real_enumerate, real_json = groups.enumerate_open_orbit_subgroups, cli._rootset_json
+    last = []
+
+    def enumerate_noting_the_last(A, **kwargs):
+        result = real_enumerate(A, **kwargs)
+        last.append(result.subgroups[-1])
+        return result
+
+    def json_with_a_float_last(rs):
+        return {**real_json(rs), "dimension": 0.5} if rs is last[0] else real_json(rs)
+
+    monkeypatch.setattr(groups, "enumerate_open_orbit_subgroups", enumerate_noting_the_last)
+    monkeypatch.setattr(cli, "_rootset_json", json_with_a_float_last)
+    code = cli.main(argv)
     out = capsys.readouterr()
     assert (code, out.out) == (3, "")
     assert out.err == "internal error: TypeError: Object of type float is not JSON serializable\n"

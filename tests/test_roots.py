@@ -16,8 +16,14 @@ from toricroots import (
 from toricroots import cli, roots
 from toricroots.roots import is_positive_form, satisfies_canonical_condition
 
-from conftest import incomparable_columns_matrix, projective_space, random_ray_matrices
-from oracles import box_scan_roots, classified_roots, orthant_box_roots
+from conftest import (
+    SEED_20,
+    SEED_100,
+    incomparable_columns_matrix,
+    projective_space,
+    random_ray_matrices,
+)
+from oracles import box_scan_roots, classified_roots, orthant_box_roots, vanishing_levels
 
 
 def coords_by_ray(A):
@@ -220,6 +226,15 @@ def test_root_table_matches_the_classified_sorted_oracle():
     # every kind, and both parities of basic and elementary roots, came up
     assert seen == {("basic", False), ("basic", True), ("elementary", False),
                     ("elementary", True), ("special", False), ("detached", True)}
+
+
+def test_levels_are_the_roots_that_vanish_below_their_ray():
+    fans = random_ray_matrices(100, seed=SEED_20, max_n=5, max_rows=4)
+    fans += random_ray_matrices(100, seed=SEED_100)
+    fans += [validate_ray_matrix([[k, 1, 1]], 3) for k in range(1, 41)]
+    for A in fans:
+        system = demazure_roots(A)
+        assert system.levels == vanishing_levels(system)
 
 
 def test_umax_builds_one_column_preorder_per_matrix(monkeypatch, capsys):
