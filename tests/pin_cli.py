@@ -100,6 +100,14 @@ MANY_BATCHES = [["roots", "--ray-matrix", "300 1 1"],
 #: it with a root monomial whose exponent 300 does not fit an exponent field.
 VERIFY_FANS = ["40 1", "20 1", "12 7 1", "5 3 2 1", "300 1"]
 
+#: A partial list (exit 1) of 2 000 subgroups, about 2.9 MB of JSON: the
+#: cap stops NextClosure part way through the fan's subgroups.
+CAPPED_ENUMERATION = ["enumerate", "--ray-matrix", "5 4 3 2 1", "--max-results", "2000"]
+
+#: The radiant rank-5 ray list of ``RAYS_HIGHER_RANK`` (20 open-orbit
+#: subgroups), for the commands that list root sets.
+ROOT_SET_RAYS = RAYS_HIGHER_RANK[4]
+
 FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
                 "type", "split", "verify"]
 
@@ -180,6 +188,9 @@ def commands() -> list[list[str]]:
             out += [[cmd, "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
     for argv in MANY_BATCHES:
         out += [argv + ["--format", f] for f in ("json", "table")]
+    out += [CAPPED_ENUMERATION + ["--format", f] for f in ("json", "table")]
+    for cmd in ("enumerate", "series", "center"):
+        out += [[cmd, f"--rays={ROOT_SET_RAYS}", "--format", f] for f in _formats(cmd)]
     return out
 
 
