@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 from . import coxaction, groups, roots, surfaces
 from .errors import DomainError, InputError, NotBilateralError, NotRadiantError, ResultCapError, ToricError
 from .fan import Bilateralization, RayList, RayMatrix, bilateralize
-from .groups import AbelianPower, DirectProduct, RootGraph, RootSet, Semidirect, TriangularBlock
-from .jsonout import pieces
+from .groups import AbelianPower, DirectProduct, RootGraph, Semidirect, TriangularBlock
+from .jsonout import Rows, pieces
 from .lattice import as_int
 
 SCHEMA_VERSION = 1
@@ -159,12 +159,13 @@ def _root_json(r: roots.DemazureRoot) -> dict:
     }
 
 
-def _rootset_json(rs: RootSet) -> dict:
-    return {
-        "dimension": rs.dimension,
-        "roots": [r.coords for r in rs.roots],
-        "display": [r.display() for r in rs.roots],
-    }
+def _root_rows(A: RayMatrix, *terms: Sequence[tuple[int, ...]]) -> list[Rows]:
+    """The root sets of each term, tuples of positions into the positive
+    roots of ``A``; the terms share their columns, so each root's text is
+    rendered once."""
+    table = roots.demazure_roots(A)
+    columns = {"roots": [r.coords for r in table.positive], "display": table.displays}
+    return [Rows("dimension", columns, members) for members in terms]
 
 
 def _shape_json(shape) -> dict:
@@ -290,7 +291,7 @@ def _enumerate(args) -> tuple[int, dict]:
         **base,
         "count": result.count,
         "complete": result.complete,
-        "subgroups": [_rootset_json(rs) for rs in result.subgroups],
+        "subgroups": _root_rows(A, result.positions)[0],
     }
     if args.histogram:
         payload["histogram"] = [list(pair) for pair in result.histogram]
@@ -301,7 +302,8 @@ def _enumerate_table(p: dict) -> list[str]:
     suffix = "" if p["complete"] else " (incomplete: cap reached)"
     lines = [f"open-orbit regular unipotent subgroups: {p['count']}{suffix}"]
     lines += [f"dimension {dim}: {count}" for dim, count in p.get("histogram", ())]
-    return lines + ["  {" + ", ".join(rs["display"]) + "}" for rs in p["subgroups"]]
+    shown = p["subgroups"].columns["display"]
+    return lines + ["  {" + ", ".join([shown[k] for k in t]) + "}" for t in p["subgroups"].members]
 
 
 def _series(args) -> tuple[int, dict]:
@@ -309,15 +311,17 @@ def _series(args) -> tuple[int, dict]:
     M = groups.umax_rootset(A)
     if args.format == "dot":
         return 0, {"dot": _dot_lines(groups.root_graph(M))}
-    report = groups.series_report(M)
+    report = groups.series_report(M)  # positions into M.roots, the positive roots
+    lower, upper, derived = _root_rows(
+        A, report.lower_positions, report.upper_positions, report.derived_positions)
     return 0, {
         **base,
         "nilpotency_class": report.nilpotency_class,
         "derived_length": report.derived_length,
         "longest_path": report.longest_path,
-        "lower": [_rootset_json(rs) for rs in report.lower],
-        "upper": [_rootset_json(rs) for rs in report.upper],
-        "derived": [_rootset_json(rs) for rs in report.derived],
+        "lower": lower,
+        "upper": upper,
+        "derived": derived,
         "center_indices": [i + 1 for i in report.center_indices or ()],
     }
 
@@ -329,20 +333,20 @@ def _series_table(p: dict) -> list[str]:
         f"nilpotency class: {p['nilpotency_class']}",
         f"derived length: {p['derived_length']}",
         f"longest path in the root graph: {p['longest_path']}",
-        "lower central series sizes: " + " > ".join(str(t["dimension"]) for t in p["lower"]),
-        "upper central series sizes: " + " < ".join(str(t["dimension"]) for t in p["upper"]),
-        "derived series sizes: " + " > ".join(str(t["dimension"]) for t in p["derived"]),
+        "lower central series sizes: " + " > ".join(str(len(t)) for t in p["lower"].members),
+        "upper central series sizes: " + " < ".join(str(len(t)) for t in p["upper"].members),
+        "derived series sizes: " + " > ".join(str(len(t)) for t in p["derived"].members),
     ]
 
 
 def _center(args) -> tuple[int, dict]:
     A, base = _canonical(args)
     report = groups.center(groups.umax_rootset(A), A)
-    return 0, {
-        **base,
-        "center_indices": [i + 1 for i in report.indices],
-        "center_roots": _rootset_json(report.roots),
-    }
+    table = roots.demazure_roots(A)
+    at = [table.position[r.coords] for r in report.roots]
+    shown = {"dimension": len(at), "roots": [r.coords for r in report.roots],
+             "display": [table.displays[k] for k in at]}
+    return 0, {**base, "center_indices": [i + 1 for i in report.indices], "center_roots": shown}
 
 
 def _center_table(p: dict) -> list[str]:
@@ -438,8 +442,8 @@ def _surface(args) -> tuple[int, dict]:
         "umax_display": report.umax_shape.display(),
         "nilpotency_class": report.nilpotency_class,
         "derived_length": report.derived_length,
-        "subgroup_count": len(report.subgroups),
-        "subgroups": [_rootset_json(rs) for rs in report.subgroups],
+        "subgroup_count": report.enumeration.count,
+        "subgroups": _root_rows(report.matrix, report.enumeration.positions)[0],
     }
 
 

@@ -69,12 +69,6 @@ class RootSet:
         return frozenset(r.coords for r in self.roots)
 
     @property
-    def levels(self) -> tuple[tuple[DemazureRoot, ...], ...]:
-        return tuple(
-            tuple(r for r in self.roots if r.ray == i) for i in range(self.n)
-        )
-
-    @property
     def dimension(self) -> int:
         return len(self.roots)
 
@@ -103,6 +97,17 @@ def umax_rootset(A: RayMatrix) -> RootSet:
 
 def _rootset(table: RootSystem, mask: int) -> RootSet:
     return RootSet(table.matrix.n, tuple(table.positive[k] for k in _members(mask)))
+
+
+def _rootsets_at(field: str) -> property:
+    """The root sets at the tuples of positions into ``rootset.roots`` that
+    ``field`` holds, built on each read."""
+
+    def get(self) -> tuple[RootSet, ...]:
+        root = self.rootset.roots.__getitem__
+        return tuple(RootSet(self.rootset.n, tuple(map(root, t))) for t in getattr(self, field))
+
+    return property(get)
 
 
 def _members(mask: int) -> list[int]:
@@ -164,13 +169,17 @@ def has_open_orbit(M: RootSet) -> bool:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    subgroups: tuple[RootSet, ...]
+    """The subgroups as sorted tuples of positions into the positive roots."""
+
+    rootset: RootSet  # of U_max
+    positions: tuple[tuple[int, ...], ...]
     histogram: tuple[tuple[int, int], ...]  # (dimension, count), ascending
     complete: bool = True
+    subgroups = _rootsets_at("positions")
 
     @property
     def count(self) -> int:
-        return len(self.subgroups)
+        return len(self.positions)
 
 
 def enumerate_open_orbit_subgroups(
@@ -220,13 +229,13 @@ def _next_closure(table: RootSystem, closed: int) -> Optional[int]:
 def _finish_enumeration(
     table: RootSystem, found: list[int], complete: bool
 ) -> EnumerationResult:
-    # Positive roots are numbered in sorted order, so sorting by
-    # (dimension, members) gives the order of ``RootSet.sort_key``.
-    keyed = sorted((mask.bit_count(), _members(mask)) for mask in found)
-    n, root = table.matrix.n, table.positive.__getitem__
-    ordered = tuple(RootSet(n, tuple(map(root, members))) for _, members in keyed)
-    hist = Counter(dimension for dimension, _ in keyed)
-    return EnumerationResult(ordered, tuple(sorted(hist.items())), complete)
+    # Positive roots are numbered in sorted order, so sorting by members
+    # and then, stably, by dimension gives the order of ``RootSet.sort_key``.
+    ordered = sorted(tuple(_members(mask)) for mask in found)
+    ordered.sort(key=len)
+    hist = Counter(map(len, ordered))
+    umax = RootSet(table.matrix.n, table.positive)
+    return EnumerationResult(umax, tuple(ordered), tuple(sorted(hist.items())), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +439,6 @@ class RootGraph:
     vertices: tuple[DemazureRoot, ...]
     arrows: tuple[Arrow, ...]
 
-    def inner_subgraph(self) -> "RootGraph":
-        return RootGraph(self.vertices, tuple(a for a in self.arrows if a.inner))
-
 
 def root_graph(M: RootSet) -> RootGraph:
     """Directed graph on ``M.roots``: arrows ``x -> s`` labelled ``y`` and
@@ -478,13 +484,19 @@ def _path_lengths(size: int, edges: list) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    lower: tuple[RootSet, ...]
-    upper: tuple[RootSet, ...]
-    derived: tuple[RootSet, ...]
+    """The series terms as sorted tuples of positions into ``rootset.roots``."""
+
+    rootset: RootSet
+    lower_positions: tuple[tuple[int, ...], ...]
+    upper_positions: tuple[tuple[int, ...], ...]
+    derived_positions: tuple[tuple[int, ...], ...]
     nilpotency_class: int
     derived_length: int
     longest_path: int
     center_indices: Optional[tuple[int, ...]]
+    lower = _rootsets_at("lower_positions")
+    upper = _rootsets_at("upper_positions")
+    derived = _rootsets_at("derived_positions")
 
 
 def series_report(M: RootSet) -> SeriesReport:
@@ -497,12 +509,8 @@ def series_report(M: RootSet) -> SeriesReport:
     """
     edges, longest_to, longest_from = _graph(M)
     l = max(longest_to, default=0)
-
-    def subset(keep) -> RootSet:
-        return RootSet(M.n, tuple(r for r, ok in zip(M.roots, keep) if ok))
-
-    lower = tuple(subset(d >= k for d in longest_to) for k in range(l + 2))
-    upper = tuple(subset(d < k for d in longest_from) for k in range(l + 2))
+    lower = tuple(tuple([v for v, d in enumerate(longest_to) if d >= k]) for k in range(l + 2))
+    upper = tuple(tuple([v for v, d in enumerate(longest_from) if d < k]) for k in range(l + 2))
 
     derived = [(1 << len(M.roots)) - 1]  # position bitmasks
     while term := derived[-1]:
@@ -512,9 +520,10 @@ def series_report(M: RootSet) -> SeriesReport:
             raise InvariantViolation("derived series did not terminate")
 
     return SeriesReport(
-        lower=lower,
-        upper=upper,
-        derived=tuple(RootSet(M.n, tuple(M.roots[k] for k in _members(t))) for t in derived),
+        rootset=M,
+        lower_positions=lower,
+        upper_positions=upper,
+        derived_positions=tuple(tuple(_members(t)) for t in derived),
         nilpotency_class=l + 1 if M.roots else 0,
         derived_length=len(derived) - 1,
         longest_path=l,

@@ -143,6 +143,11 @@ class RootSystem:
         return tuple(r for level in self.levels for r in level)
 
     @cached_property
+    def displays(self) -> tuple[str, ...]:
+        """The display string of each positive root, by position."""
+        return tuple(display(r.coords) for r in self.positive)
+
+    @cached_property
     def position(self) -> dict[IntVector, int]:
         return {r.coords: k for k, r in enumerate(self.positive)}
 
@@ -334,10 +339,6 @@ def column_preorder(A: RayMatrix) -> ColumnPreorder:
         seen.setdefault(col, []).append(i)
     classes = tuple(map(tuple, seen.values()))  # first seen at its smallest member
     return ColumnPreorder(geq=geq, classes=classes)
-
-
-def satisfies_canonical_condition(A: RayMatrix) -> bool:
-    return column_preorder(A).canonical
 
 
 def canonical_reorder(A: RayMatrix) -> tuple[tuple[int, ...], RayMatrix]:

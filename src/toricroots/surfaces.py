@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from . import groups, lattice, roots
 from .errors import CapExceededError, InputError, InvariantViolation, NotRadiantError
 from .fan import RayList, RayMatrix, angle_less, bilateralize
-from .groups import GroupShape, RootSet
+from .groups import EnumerationResult, GroupShape, RootSet
 
 #: Cap on the number of sequences ``enumerate_smooth_surfaces`` lists
 #: (44 672 for ``max_m = 12``).
@@ -171,11 +171,15 @@ class SurfaceReport:
     umax_shape: GroupShape
     nilpotency_class: int
     derived_length: int
-    subgroups: tuple[RootSet, ...]
+    enumeration: EnumerationResult
 
     @property
     def picard_rank(self) -> int:
         return self.sequence.picard_rank
+
+    @property
+    def subgroups(self) -> tuple[RootSet, ...]:
+        return self.enumeration.subgroups
 
 
 def surface_report(seq: SurfaceSequence) -> SurfaceReport:
@@ -220,11 +224,8 @@ def surface_report(seq: SurfaceSequence) -> SurfaceReport:
             raise InvariantViolation("surface groups are metabelian")
         if enum.count != d + 1:
             raise InvariantViolation("expected d+1 open-orbit subgroups")
-        expected_sets = {
-            frozenset({(0, -1)} | {(-1, l2) for l2 in range(l + 1)})
-            for l in range(d + 1)
-        }
-        if {rs.coords for rs in enum.subgroups} != expected_sets:
+        # positions 0..d hold (-1, 0) < ... < (-1, d), and d + 1 holds (0, -1)
+        if set(enum.positions) != {(*range(l + 1), d + 1) for l in range(d + 1)}:
             raise InvariantViolation("subgroup root sets are not the nested prefixes")
 
     return SurfaceReport(
@@ -236,5 +237,5 @@ def surface_report(seq: SurfaceSequence) -> SurfaceReport:
         umax_shape=shape,
         nilpotency_class=series.nilpotency_class,
         derived_length=series.derived_length,
-        subgroups=enum.subgroups,
+        enumeration=enum,
     )

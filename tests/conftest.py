@@ -4,7 +4,8 @@ import random
 import pytest
 
 from toricroots import RayList, RootSet, positive_roots, validate_ray_matrix
-from toricroots.roots import canonical_reorder
+from toricroots.groups import RootGraph
+from toricroots.roots import canonical_reorder, column_preorder
 
 # Seeds are fixed so the "random" fixtures are identical on every run.
 SEED_20 = 20260809
@@ -37,6 +38,20 @@ def incomparable_columns_matrix(n):
 
 def positive_rootset(A):
     return RootSet.of(A.n, [r for level in positive_roots(A) for r in level])
+
+
+def satisfies_canonical_condition(A):
+    return column_preorder(A).canonical
+
+
+def rootset_levels(M):
+    """The roots of ``M`` by ray level."""
+    return tuple(tuple(r for r in M.roots if r.ray == i) for i in range(M.n))
+
+
+def inner_subgraph(graph):
+    """The root graph with only its arrows inside a level."""
+    return RootGraph(graph.vertices, tuple(a for a in graph.arrows if a.inner))
 
 
 def random_ray_matrices(count, seed, max_n=4, max_rows=3, max_entry=3):

@@ -15,6 +15,7 @@ from toricroots import (
 from toricroots.groups import root_graph
 from toricroots.roots import KIND_ELEMENTARY, column_preorder
 
+from conftest import inner_subgraph, rootset_levels
 from oracles import BracketTable, box_scan_roots, lie_center, lie_series_oracle
 
 ENUM_ORACLE_LIMIT = 14  # brute-force subset filtering is feasible up to here
@@ -172,7 +173,7 @@ def check_inner_paths_realize_all_lengths(A):
     so ascent sets computed on the inner subgraph match the full graph."""
     for M in _sample_saturated_sets(A):
         graph = root_graph(M)
-        inner = graph.inner_subgraph()
+        inner = inner_subgraph(graph)
         full_lengths = _path_length_sets(graph.vertices, graph.arrows)
         inner_lengths = _path_length_sets(inner.vertices, inner.arrows)
         for v in graph.vertices:
@@ -183,7 +184,7 @@ def check_class_bounded_by_level_size(A):
     """Nilpotency class never exceeds the largest level of the root set."""
     for M in _sample_saturated_sets(A):
         report = series_report(M)
-        assert report.nilpotency_class <= max(len(level) for level in M.levels)
+        assert report.nilpotency_class <= max(len(level) for level in rootset_levels(M))
 
 
 def check_series_against_lie_oracle(A):

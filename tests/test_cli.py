@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from toricroots import coxaction
+from toricroots import canonical_reorder, center, coxaction, enumerate_open_orbit_subgroups
+from toricroots import series_report, validate_ray_matrix
 from toricroots.cli import main
+from toricroots.groups import umax_rootset
 from toricroots.errors import InvariantViolation
 
 
@@ -320,3 +322,28 @@ def test_unexpected_exception_exits_three_without_traceback(capsys, monkeypatch)
     assert run(capsys, "verify", "--ray-matrix", "1 1") == (
         3, "", "internal error: ZeroDivisionError: planted fault\n"
     )
+
+
+#: Small fans, each in canonical and in a non-canonical column order.
+AGREEMENT_FANS = ["3 2 1", "1 2 3", "4 3 2 1", "2 1 1; 1 1 0", "1 1 0; 1 0 0; 0 0 1",
+                  "0 1 1; 1 0 1; 1 1 0; 1 1 1", "1 1 2; 0 0 1", "1 1 1 1 1; 0 0 1 2 0",
+                  "1 1", "5 2; 1 1"]
+
+
+def rootset_views(rootsets):
+    return [{"dimension": rs.dimension, "roots": [list(r.coords) for r in rs.roots],
+             "display": [r.display() for r in rs.roots]} for rs in rootsets]
+
+
+@pytest.mark.parametrize("fan", AGREEMENT_FANS)
+def test_cli_root_sets_are_the_library_views(capsys, fan):
+    rows = [[int(x) for x in row.split()] for row in fan.split(";")]
+    _, A = canonical_reorder(validate_ray_matrix(rows, len(rows[0])))
+    _, enumerated = run_json(capsys, "enumerate", "--ray-matrix", fan)
+    assert enumerated["subgroups"] == rootset_views(enumerate_open_orbit_subgroups(A).subgroups)
+    _, series = run_json(capsys, "series", "--ray-matrix", fan)
+    report = series_report(umax_rootset(A))
+    for term in ("lower", "upper", "derived"):
+        assert series[term] == rootset_views(getattr(report, term))
+    _, centered = run_json(capsys, "center", "--ray-matrix", fan)
+    assert [centered["center_roots"]] == rootset_views([center(umax_rootset(A), A).roots])

@@ -31,9 +31,9 @@ from toricroots.coxaction import (
 )
 from toricroots.groups import saturation_closure
 from toricroots.poly import Poly, PolyRing
-from toricroots.roots import column_preorder, satisfies_canonical_condition
+from toricroots.roots import column_preorder
 
-from conftest import projective_space, random_ray_matrices
+from conftest import projective_space, random_ray_matrices, satisfies_canonical_condition
 from oracles import dense_unitriangular_product, termwise_substitute
 
 

@@ -136,6 +136,98 @@ def test_writer_refuses_other_types(value):
         jsonout.dumps(value)
 
 
+def expand(value):
+    """``value`` with each ``Rows`` replaced by the list of dicts it stands for."""
+    if isinstance(value, jsonout.Rows):
+        return [
+            {value.size_key: len(t), **{k: [v[i] for i in t] for k, v in value.columns.items()}}
+            for t in value.members
+        ]
+    if isinstance(value, dict):
+        return {k: expand(x) for k, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [expand(x) for x in value]
+    return value
+
+
+#: Values the writer takes as leaves, so a ``Rows`` column may hold them.
+row_values = st.one_of(
+    st.none(), st.booleans(), ints, strings, st.just({}),
+    st.lists(ints, max_size=4), st.lists(ints, max_size=4).map(tuple),
+    st.lists(strings, max_size=3), st.lists(st.lists(ints, min_size=1, max_size=3), max_size=3),
+)
+
+
+@st.composite
+def shared_rows(draw):
+    """Values holding ``Rows`` at several depths whose columns come from one
+    pool, so one column recurs under several keys, indents and rows.
+    Positions may be bools or negative: ``(1, True)`` and ``(1, 1)`` are the
+    same rows."""
+    size = draw(st.integers(0, 5))
+    pool = draw(st.lists(st.lists(row_values, min_size=size, max_size=size), min_size=1, max_size=3))
+    positions = st.integers(-size, size - 1) | st.booleans() if size >= 2 else st.integers(-size, 0)
+    members = st.lists(st.lists(positions, max_size=6 if size else 0).map(tuple), min_size=1, max_size=5)
+    columns = st.dictionaries(strings, st.sampled_from(pool), min_size=1, max_size=3)
+    table = st.builds(jsonout.Rows, strings, columns, members).filter(
+        lambda rows: rows.size_key not in rows.columns)
+    return [draw(st.recursive(table, lambda inner: containers(inner | leaves), max_leaves=6)), draw(table)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(shared_rows())
+def test_rows_match_the_stdlib_encoder_on_the_dicts_they_stand_for(value):
+    assert jsonout.dumps(value) == stdlib_json(expand(value))
+
+
+_COLUMNS = {"roots": [(-1, 0), (0, -1), (-1, 1)], "display": ["-q1", "-q2", "-q1+q2"]}
+
+
+@pytest.mark.parametrize("value", [
+    jsonout.Rows("dimension", _COLUMNS, []),
+    jsonout.Rows("dimension", _COLUMNS, [()]),
+    jsonout.Rows("dimension", _COLUMNS, [(), (0,), ()]),
+    jsonout.Rows("dimension", {}, [(0, 1), ()]),
+    jsonout.Rows("dimension", _COLUMNS, [(0, 1, 2), (1, True), (1, 1), (True, 1), (-1,)]),
+    # equal but distinct columns: their values are written differently
+    [jsonout.Rows("n", {"a": [1, 0]}, [(0, 1)]), jsonout.Rows("n", {"a": [True, False]}, [(0, 1)])],
+    # one column object at several depths and in several rows lists
+    {"a": jsonout.Rows("n", _COLUMNS, [(0,)]),
+     "b": [jsonout.Rows("n", _COLUMNS, [(2, 0)]), {"c": jsonout.Rows("m", _COLUMNS, [(1,)])}]},
+    # keys and values that need escaping, or hold a % sign
+    jsonout.Rows("%d", {'"%s"': ["\\", "\n", "⋉", "\U0001d54f"], "%%": [0, -1, 10**30, None]},
+                 [(0, 1, 2, 3), (3,)]),
+    jsonout.Rows("é", {"\x00": [[1, 2], [], ["a"], [[1], [2, 3]]]}, [(0, 1, 2, 3)]),
+    # a value no row uses need not be a leaf
+    jsonout.Rows("n", {"a": [1, 0.5, {"b": 2}]}, [(0,)]),
+    [jsonout.Rows("n", _COLUMNS, [(0,)]), 1, "a", jsonout.Rows("n", _COLUMNS, [])],
+])
+def test_rows_on_edge_cases(value):
+    assert jsonout.dumps(value) == stdlib_json(expand(value))
+
+
+@pytest.mark.parametrize("value", [
+    jsonout.Rows("n", {"a": [0.5]}, [(0,)]),
+    jsonout.Rows("n", {"a": [1, {"b": 2}]}, [(0,), (0, 1)]),
+    jsonout.Rows("n", {"a": [[1, True]]}, [(0,)]),
+    jsonout.Rows("n", {"a": [(1, 2.0)]}, [(0,)]),
+    jsonout.Rows("n", {2: [1]}, [(0,)]),
+    jsonout.Rows(2, {"a": [1]}, [(0,)]),
+    {"k": [jsonout.Rows("n", {"a": [1, 0.5]}, [(0,), (1,)])]},
+])
+def test_rows_refuse_a_value_that_is_no_leaf_or_a_key_that_is_no_str(value):
+    with pytest.raises(TypeError):
+        jsonout.dumps(value)
+
+
+def test_rows_are_one_piece_each():
+    for count in (1, 10, 1000):
+        members = [(0, 2), (1,), ()] * count
+        assert len(jsonout.pieces(jsonout.Rows("dimension", _COLUMNS, members))) == 3 * count + 2
+        payload = {"a": 1, "rows": jsonout.Rows("dimension", _COLUMNS, members), "z": [2]}
+        assert len(jsonout.pieces(payload)) == 3 * count + 3
+
+
 def test_a_float_in_a_payload_exits_three_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(groups, "variety_type", lambda A: 0.5)
     code = cli.main(["type", "--ray-matrix", "1 1"])
@@ -149,19 +241,20 @@ def test_a_float_in_the_last_subgroup_of_a_long_report_writes_nothing(capsys, mo
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out) > cli._BATCH  # more than one batch
 
-    real_enumerate, real_json = groups.enumerate_open_orbit_subgroups, cli._rootset_json
-    last = []
+    real_rows = cli._root_rows
 
-    def enumerate_noting_the_last(A, **kwargs):
-        result = real_enumerate(A, **kwargs)
-        last.append(result.subgroups[-1])
-        return result
+    def rows_with_a_float_last(A, *terms):
+        # one more position, whose values are floats, in the last subgroup
+        # only: the writer reaches it after every other row
+        out = []
+        for rows in real_rows(A, *terms):
+            size = len(rows.columns["display"])
+            columns = {k: [*values, 0.5] for k, values in rows.columns.items()}
+            members = [*rows.members[:-1], (*rows.members[-1], size)]
+            out.append(jsonout.Rows(rows.size_key, columns, members))
+        return out
 
-    def json_with_a_float_last(rs):
-        return {**real_json(rs), "dimension": 0.5} if rs is last[0] else real_json(rs)
-
-    monkeypatch.setattr(groups, "enumerate_open_orbit_subgroups", enumerate_noting_the_last)
-    monkeypatch.setattr(cli, "_rootset_json", json_with_a_float_last)
+    monkeypatch.setattr(cli, "_root_rows", rows_with_a_float_last)
     code = cli.main(argv)
     out = capsys.readouterr()
     assert (code, out.out) == (3, "")

@@ -14,7 +14,7 @@ from toricroots import (
     validate_ray_matrix,
 )
 from toricroots import cli, roots
-from toricroots.roots import is_positive_form, satisfies_canonical_condition
+from toricroots.roots import is_positive_form
 
 from conftest import (
     SEED_20,
@@ -22,6 +22,7 @@ from conftest import (
     incomparable_columns_matrix,
     projective_space,
     random_ray_matrices,
+    satisfies_canonical_condition,
 )
 from oracles import box_scan_roots, classified_roots, orthant_box_roots, vanishing_levels
 
