@@ -342,11 +342,16 @@ def _series_table(p: dict) -> list[str]:
 def _center(args) -> tuple[int, dict]:
     A, base = _canonical(args)
     report = groups.center(groups.umax_rootset(A), A)
-    table = roots.demazure_roots(A)
-    at = [table.position[r.coords] for r in report.roots]
-    shown = {"dimension": len(at), "roots": [r.coords for r in report.roots],
-             "display": [table.displays[k] for k in at]}
-    return 0, {**base, "center_indices": [i + 1 for i in report.indices], "center_roots": shown}
+    center_roots = report.roots.roots  # a few basic roots
+    return 0, {
+        **base,
+        "center_indices": [i + 1 for i in report.indices],
+        "center_roots": {
+            "dimension": len(center_roots),
+            "roots": [r.coords for r in center_roots],
+            "display": [r.display() for r in center_roots],
+        },
+    }
 
 
 def _center_table(p: dict) -> list[str]:

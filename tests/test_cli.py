@@ -5,8 +5,8 @@ import pytest
 from toricroots import canonical_reorder, center, coxaction, enumerate_open_orbit_subgroups
 from toricroots import series_report, validate_ray_matrix
 from toricroots.cli import main
-from toricroots.groups import umax_rootset
 from toricroots.errors import InvariantViolation
+from toricroots.groups import umax_rootset
 
 
 def run(capsys, *argv):
@@ -324,7 +324,7 @@ def test_unexpected_exception_exits_three_without_traceback(capsys, monkeypatch)
     )
 
 
-#: Small fans, each in canonical and in a non-canonical column order.
+#: Small fans, three of them in a non-canonical column order.
 AGREEMENT_FANS = ["3 2 1", "1 2 3", "4 3 2 1", "2 1 1; 1 1 0", "1 1 0; 1 0 0; 0 0 1",
                   "0 1 1; 1 0 1; 1 1 0; 1 1 1", "1 1 2; 0 0 1", "1 1 1 1 1; 0 0 1 2 0",
                   "1 1", "5 2; 1 1"]
@@ -339,11 +339,11 @@ def rootset_views(rootsets):
 def test_cli_root_sets_are_the_library_views(capsys, fan):
     rows = [[int(x) for x in row.split()] for row in fan.split(";")]
     _, A = canonical_reorder(validate_ray_matrix(rows, len(rows[0])))
-    _, enumerated = run_json(capsys, "enumerate", "--ray-matrix", fan)
+    outputs = [run_json(capsys, cmd, "--ray-matrix", fan) for cmd in ("enumerate", "series", "center")]
+    assert [code for code, _ in outputs] == [0, 0, 0]
+    (_, enumerated), (_, series), (_, centered) = outputs
     assert enumerated["subgroups"] == rootset_views(enumerate_open_orbit_subgroups(A).subgroups)
-    _, series = run_json(capsys, "series", "--ray-matrix", fan)
     report = series_report(umax_rootset(A))
     for term in ("lower", "upper", "derived"):
         assert series[term] == rootset_views(getattr(report, term))
-    _, centered = run_json(capsys, "center", "--ray-matrix", fan)
     assert [centered["center_roots"]] == rootset_views([center(umax_rootset(A), A).roots])
