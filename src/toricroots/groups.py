@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -509,8 +510,9 @@ def series_report(M: RootSet) -> SeriesReport:
     """
     edges, longest_to, longest_from = _graph(M)
     l = max(longest_to, default=0)
-    lower = tuple(tuple([v for v, d in enumerate(longest_to) if d >= k]) for k in range(l + 2))
-    upper = tuple(tuple([v for v, d in enumerate(longest_from) if d < k]) for k in range(l + 2))
+    everything = tuple(range(len(M.roots)))  # one int per position, shared by the terms
+    lower = tuple(tuple(compress(everything, [d >= k for d in longest_to])) for k in range(l + 2))
+    upper = tuple(tuple(compress(everything, [d < k for d in longest_from])) for k in range(l + 2))
 
     derived = [(1 << len(M.roots)) - 1]  # position bitmasks
     while term := derived[-1]:
