@@ -113,30 +113,31 @@ def _composite(obj, indent: str, lead: str, out: list, memo: dict) -> None:
     inner = indent + "  "
     if type(obj) is Rows:
         _rows(obj, indent, lead, out, memo)
-    elif not isinstance(obj, dict):
+        return
+    if not isinstance(obj, dict):
         lead += "[" + inner
         sep = "," + inner
         for x in obj:
             _put(x, inner, lead, out, memo)
             lead = sep
         out.append(indent + "]")
-    else:
-        keys = tuple(obj)
-        plan = memo.get((indent, keys))
-        if plan is None:
-            plan = memo[indent, keys] = _plan(keys, indent)
-        parts = [lead]
-        for head, key in plan:
-            value = obj[key]
-            text = _leaf(value, inner)
-            parts.append(head)
-            if text is None:
-                _composite(value, inner, "".join(parts), out, memo)
-                parts.clear()
-            else:
-                parts.append(text)
-        parts.append(indent + "}")
-        out.append("".join(parts))
+        return
+    keys = tuple(obj)
+    plan = memo.get((indent, keys))
+    if plan is None:
+        plan = memo[indent, keys] = _plan(keys, indent)
+    parts = [lead]
+    for head, key in plan:
+        value = obj[key]
+        text = _leaf(value, inner)
+        parts.append(head)
+        if text is None:
+            _composite(value, inner, "".join(parts), out, memo)
+            parts.clear()
+        else:
+            parts.append(text)
+    parts.append(indent + "}")
+    out.append("".join(parts))
 
 
 def _plan(keys: tuple, indent: str) -> list[tuple[str, str]]:
