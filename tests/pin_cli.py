@@ -108,6 +108,20 @@ CAPPED_ENUMERATION = ["enumerate", "--ray-matrix", "5 4 3 2 1", "--max-results",
 #: subgroups), for the commands that list root sets.
 ROOT_SET_RAYS = RAYS_HIGHER_RANK[4]
 
+#: Command lines that take each of argparse's paths: the help of the whole
+#: parser and of one command, an unrecognized argument (reported with the
+#: whole parser's usage), a missing value, an abbreviated option, and an
+#: extra positional after a command's options.
+PARSER_PATHS = [
+    ["-h"],
+    ["roots", "-h"],
+    ["verify", "-h"],
+    ["roots", "--ray-matrix", "1 1", "--bogus"],
+    ["roots", "--ray-matrix"],
+    ["enumerate", "--hist", "--ray-matrix", "1 1"],
+    ["surface", "--enumerate", "--max-m", "4", "extra"],
+]
+
 FAN_COMMANDS = ["bilateral", "roots", "umax", "enumerate", "series", "center",
                 "type", "split", "verify"]
 
@@ -191,7 +205,7 @@ def commands() -> list[list[str]]:
     out += [CAPPED_ENUMERATION + ["--format", f] for f in ("json", "table")]
     for cmd in ("enumerate", "series", "center"):
         out += [[cmd, f"--rays={ROOT_SET_RAYS}", "--format", f] for f in _formats(cmd)]
-    return out
+    return out + PARSER_PATHS
 
 
 def digest(argv: list[str]) -> dict:
