@@ -22,7 +22,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import coxaction, groups, roots, surfaces
+from . import groups, roots
 from .errors import DomainError, InputError, NotBilateralError, NotRadiantError, ResultCapError, ToricError
 from .fan import Bilateralization, RayList, RayMatrix, bilateralize
 from .groups import AbelianPower, DirectProduct, RootGraph, Semidirect, TriangularBlock
@@ -389,6 +389,8 @@ def _split_table(p: dict) -> list[str]:
 
 
 def _verify(args) -> tuple[int, dict]:
+    from . import coxaction  # with poly and liealg: only verify needs them
+
     A, base = _canonical(args)
     checks = coxaction.verify_all(A)
     ok = all(c.ok for c in checks)
@@ -409,6 +411,8 @@ def _verify_table(p: dict) -> list[str]:
 
 
 def _surface(args) -> tuple[int, dict]:
+    from . import surfaces
+
     if args.enumerate:
         if args.sequence is not None or args.input is not None:
             raise InputError("conflicting-flags: --enumerate takes no --sequence or --input")
@@ -523,6 +527,12 @@ COMMANDS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, cmd: str) -> argparse.ArgumentParser:
+    for flag, kwargs in COMMANDS[cmd][3]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built on the first call and shared: building takes milliseconds, more
@@ -533,11 +543,16 @@ def build_parser() -> argparse.ArgumentParser:
         "of complete toric varieties, from exact ray data.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (_, _, help_text, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
+    for name, (_, _, help_text, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+@functools.cache
+def _command_parser(cmd: str) -> argparse.ArgumentParser:
+    """The parser that ``build_parser`` hands ``cmd``'s arguments to, built
+    alone: it parses, and fails, with the same usage text."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"toricroots {cmd}"), cmd)
 
 
 _VALUE_FLAGS = ("--ray-matrix", "--rays", "--sequence")
@@ -572,8 +587,13 @@ def _emit(out: list[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    args, unparsed = None, True
+    if argv and argv[0] in COMMANDS:
+        args, unparsed = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(cmd=argv[0]))
+    if unparsed:  # no command, or arguments it leaves: the whole parser's usage and error
+        args = build_parser().parse_args(argv)
     compute, table, _, _ = COMMANDS[args.cmd]
     try:
         exit_code, payload = compute(args)

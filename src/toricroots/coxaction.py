@@ -17,7 +17,6 @@ polynomial identities rather than sampling them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from math import comb
 from typing import Optional, Sequence, Union
@@ -26,7 +25,7 @@ from . import liealg
 from .errors import InputError, InvariantViolation
 from .fan import RayMatrix
 from .lattice import IntVector
-from .poly import Poly, PolyRing, Substitution, check_degree
+from .poly import Poly, PolyRing, Scalar, Substitution, check_degree
 from .roots import (
     DemazureRoot,
     KIND_ELEMENTARY,
@@ -35,7 +34,7 @@ from .roots import (
     require_positive_root,
 )
 
-ScalarLike = Union[int, Fraction, Poly]
+ScalarLike = Union[Scalar, Poly]
 
 
 def ring_for(A: RayMatrix, params: tuple[str, ...] = ("a", "b"), degree_cap: int = 64) -> PolyRing:

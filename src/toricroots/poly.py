@@ -16,14 +16,16 @@ are checked against the cap before they are formed, so no field carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from operator import mul
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .errors import DegreeCapError, InputError
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:  # imported where a Fraction is built
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -32,6 +34,8 @@ def _exact(value) -> Scalar:
     """``value`` as an ``int`` when integral, else as a ``Fraction``."""
     if value.__class__ is int:
         return value
+    from fractions import Fraction
+
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
