@@ -181,10 +181,11 @@ def _shape_json(shape) -> dict:
 
 def _dot_lines(graph: RootGraph) -> list[str]:
     """Root graph in DOT form, in its own order: dashed arrows inside a level, dotted across."""
-    lines = ["digraph root_graph {"] + [f'  "{v.display()}";' for v in graph.vertices]
+    name = {v.coords: f'"{v.display()}"' for v in graph.vertices}  # each vertex rendered once
+    lines = ["digraph root_graph {"] + [f"  {name[v.coords]};" for v in graph.vertices]
     for a in graph.arrows:
         style = "dashed" if a.inner else "dotted"
-        lines.append(f'  "{a.source.display()}" -> "{a.target.display()}" [style={style}];')
+        lines.append(f"  {name[a.source.coords]} -> {name[a.target.coords]} [style={style}];")
     return lines + ["}"]
 
 
@@ -311,9 +312,9 @@ def _series(args) -> tuple[int, dict]:
     M = groups.umax_rootset(A)
     if args.format == "dot":
         return 0, {"dot": _dot_lines(groups.root_graph(M))}
-    report = groups.series_report(M)  # positions into M.roots, the positive roots
-    lower, upper, derived = _root_rows(
-        A, report.lower_positions, report.upper_positions, report.derived_positions)
+    report = groups.series_report(M)
+    lower, upper, derived = _root_rows(A, *(
+        [rs.positions for rs in term] for term in (report.lower, report.upper, report.derived)))
     return 0, {
         **base,
         "nilpotency_class": report.nilpotency_class,

@@ -8,9 +8,9 @@ back on level ``i``) must already lie in ``M``.  The subgroup has an open
 orbit exactly when ``M`` contains every basic root, and its dimension is the
 number of roots in ``M``.
 
-Saturation runs on bitmasks over the positive roots of the one root table
-per matrix (``roots.RootSystem``), whose sum triples drive the one closure
-``_close``.
+A root set is a tuple of positions in the positive roots of the one root
+table per matrix (``roots.RootSystem``), whose sum triples drive the one
+closure ``_close`` on bitmasks of those positions.
 The module also computes the abstract shape of the maximal unipotent
 subgroup as an iterated semidirect product of triangular blocks, and derives
 centers, central series, derived series, nilpotency class and derived length
@@ -56,14 +56,27 @@ RootsLike = Union["RootSet", Iterable[DemazureRoot]]
 
 @dataclass(frozen=True)
 class RootSet:
-    """A set of positive roots, partitioned by ray level."""
+    """A set of positive roots of the canonical ray matrix ``matrix``: the
+    sorted positions of its roots in ``demazure_roots(matrix).positive``.
+    Root sets over different matrices are unequal."""
 
-    n: int
-    roots: tuple[DemazureRoot, ...]
+    matrix: RayMatrix
+    positions: tuple[int, ...]
 
     @classmethod
-    def of(cls, n: int, roots: Iterable[DemazureRoot]) -> "RootSet":
-        return cls(n=n, roots=tuple(sorted(set(roots))))
+    def of(cls, A: RayMatrix, roots: Iterable[DemazureRoot]) -> "RootSet":
+        """Raises ``InputError`` for a root that is not positive in ``A``."""
+        table = demazure_roots(A)
+        return _rootset(table, _as_mask(table, roots))
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
+
+    @property
+    def roots(self) -> tuple[DemazureRoot, ...]:
+        positive = demazure_roots(self.matrix).positive
+        return tuple([positive[k] for k in self.positions])
 
     @cached_property
     def coords(self) -> frozenset[IntVector]:
@@ -71,7 +84,7 @@ class RootSet:
 
     @property
     def dimension(self) -> int:
-        return len(self.roots)
+        return len(self.positions)
 
     def __contains__(self, item) -> bool:
         coords = item.coords if isinstance(item, DemazureRoot) else tuple(item)
@@ -81,7 +94,7 @@ class RootSet:
         return iter(self.roots)
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.positions)
 
     def sort_key(self) -> tuple:
         return (self.dimension, tuple(r.coords for r in self.roots))
@@ -89,7 +102,7 @@ class RootSet:
 
 def umax_rootset(A: RayMatrix) -> RootSet:
     """The root set of ``U_max``: every positive root of the canonical ``A``."""
-    return RootSet(A.n, demazure_roots(A).positive)
+    return RootSet(A, tuple(range(len(demazure_roots(A).positive))))
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +110,7 @@ def umax_rootset(A: RayMatrix) -> RootSet:
 
 
 def _rootset(table: RootSystem, mask: int) -> RootSet:
-    return RootSet(table.matrix.n, tuple(table.positive[k] for k in _members(mask)))
-
-
-def _rootsets_at(field: str) -> property:
-    """The root sets at the tuples of positions into ``rootset.roots`` that
-    ``field`` holds, built on each read."""
-
-    def get(self) -> tuple[RootSet, ...]:
-        root = self.rootset.roots.__getitem__
-        return tuple(RootSet(self.rootset.n, tuple(map(root, t))) for t in getattr(self, field))
-
-    return property(get)
+    return RootSet(table.matrix, tuple(_members(mask)))
 
 
 def _members(mask: int) -> list[int]:
@@ -128,9 +130,12 @@ def _close(table: RootSystem, mask: int, new: Sequence[int]) -> int:
 
 
 def _as_mask(table: RootSystem, M: RootsLike) -> int:
+    """The bitmask of ``M``: of a root set over the table's matrix by its
+    positions, of other roots by their coordinates."""
+    own = isinstance(M, RootSet) and M.matrix == table.matrix
     digits = bytearray(b"0") * len(table.positive)  # parsed in linear time, unlike N ORs
-    for r in M:
-        k = table.position.get(r.coords)
+    for r in M.positions if own else M:
+        k = r if own else table.position.get(r.coords)
         if k is None:
             raise InputError(f"element not in the positive roots: {r.coords}")
         digits[~k] = ord("1")  # bit k is the k-th digit from the right
@@ -164,19 +169,22 @@ def saturation_closure(A: RayMatrix, M: RootsLike) -> RootSet:
 
 def has_open_orbit(M: RootSet) -> bool:
     """True iff every basic root belongs to ``M``."""
-    basics = [tuple(-1 if j == i else 0 for j in range(M.n)) for i in range(M.n)]
-    return all(b in M.coords for b in basics)
+    table = demazure_roots(M.matrix)
+    return _as_mask(table, M) & table.basics == table.basics
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """The subgroups as sorted tuples of positions into the positive roots."""
+    """The subgroups as sorted tuples of positions into ``matrix``'s positive roots."""
 
-    rootset: RootSet  # of U_max
+    matrix: RayMatrix
     positions: tuple[tuple[int, ...], ...]
     histogram: tuple[tuple[int, int], ...]  # (dimension, count), ascending
     complete: bool = True
-    subgroups = _rootsets_at("positions")
+
+    @property
+    def subgroups(self) -> tuple[RootSet, ...]:  # built on each read
+        return tuple([RootSet(self.matrix, t) for t in self.positions])
 
     @property
     def count(self) -> int:
@@ -235,8 +243,7 @@ def _finish_enumeration(
     ordered = sorted(tuple(_members(mask)) for mask in found)
     ordered.sort(key=len)
     hist = Counter(map(len, ordered))
-    umax = RootSet(table.matrix.n, table.positive)
-    return EnumerationResult(umax, tuple(ordered), tuple(sorted(hist.items())), complete)
+    return EnumerationResult(table.matrix, tuple(ordered), tuple(sorted(hist.items())), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +412,8 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
             "center formula needs an open orbit: the root set must hold every basic root"
         )
     indices = _center_indices(_rootset(table, mask))
-    basics = _rootset(table, table.basics).roots
-    center_roots = RootSet(A.n, tuple(r for r in basics if r.ray in indices))
+    basics = _members(table.basics)
+    center_roots = RootSet(A, tuple(k for k in basics if table.positive[k].ray in indices))
     if mask == (1 << len(table.positive)) - 1:
         # for U_max the center indices are the smallest members of the
         # maximal column classes; verify
@@ -421,7 +428,8 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
 
 def _center_indices(M: RootSet) -> tuple[int, ...]:
     """Indices whose pairing with every root of ``M`` is non-positive."""
-    return tuple(i for i in range(M.n) if all(r.coords[i] <= 0 for r in M.roots))
+    roots = M.roots
+    return tuple(i for i in range(M.n) if all(r.coords[i] <= 0 for r in roots))
 
 
 @dataclass(frozen=True)
@@ -443,17 +451,20 @@ class RootGraph:
 
 def root_graph(M: RootSet) -> RootGraph:
     """Directed graph on ``M.roots``: arrows ``x -> s`` labelled ``y`` and
-    ``y -> s`` labelled ``x`` per sum triple of ``M``; asserts acyclicity.
-    Arrows come in (source, target) coordinate order when ``M`` is sorted."""
+    ``y -> s`` labelled ``x`` per sum triple of ``M``, in (source, target)
+    coordinate order; asserts acyclicity."""
     roots, edges = M.roots, _graph(M)[0]
     return RootGraph(roots, tuple(Arrow(roots[a], roots[t], roots[e]) for a, t, e in edges))
 
 
 def _graph(M: RootSet) -> tuple[list, list[int], list[int]]:
-    """``root_graph(M)``'s arrows as sorted positions, and ``_path_lengths``."""
-    triples = _sum_triples(M.roots, {r.coords: k for k, r in enumerate(M.roots)})
+    """``root_graph(M)``'s arrows as sorted indices into ``M.positions``, from
+    the table's sum triples inside ``M``, and ``_path_lengths``."""
+    partners, local = demazure_roots(M.matrix).partners, {k: x for x, k in enumerate(M.positions)}
+    triples = [(x, local[y], local[s]) for x, k in enumerate(M.positions)
+               for y, s in partners[k] if y > k and y in local and s in local]
     edges = sorted(e for x, y, s in triples for e in ((x, s, y), (y, s, x)))
-    return (edges, *_path_lengths(len(M.roots), edges))
+    return (edges, *_path_lengths(len(M.positions), edges))
 
 
 def _path_lengths(size: int, edges: list) -> tuple[list[int], list[int]]:
@@ -485,19 +496,13 @@ def _path_lengths(size: int, edges: list) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """The series terms as sorted tuples of positions into ``rootset.roots``."""
-
-    rootset: RootSet
-    lower_positions: tuple[tuple[int, ...], ...]
-    upper_positions: tuple[tuple[int, ...], ...]
-    derived_positions: tuple[tuple[int, ...], ...]
+    lower: tuple[RootSet, ...]
+    upper: tuple[RootSet, ...]
+    derived: tuple[RootSet, ...]
     nilpotency_class: int
     derived_length: int
     longest_path: int
     center_indices: Optional[tuple[int, ...]]
-    lower = _rootsets_at("lower_positions")
-    upper = _rootsets_at("upper_positions")
-    derived = _rootsets_at("derived_positions")
 
 
 def series_report(M: RootSet) -> SeriesReport:
@@ -510,23 +515,20 @@ def series_report(M: RootSet) -> SeriesReport:
     """
     edges, longest_to, longest_from = _graph(M)
     l = max(longest_to, default=0)
-    everything = tuple(range(len(M.roots)))  # one int per position, shared by the terms
-    lower = tuple(tuple(compress(everything, [d >= k for d in longest_to])) for k in range(l + 2))
-    upper = tuple(tuple(compress(everything, [d < k for d in longest_from])) for k in range(l + 2))
-
-    derived = [(1 << len(M.roots)) - 1]  # position bitmasks
-    while term := derived[-1]:
-        inside = {t for a, t, e in edges if term >> a & term >> t & term >> e & 1}
-        derived.append(sum(1 << t for t in inside))
-        if len(derived) > len(M.roots) + 2:
+    A, positions = M.matrix, M.positions
+    derived = [set(range(len(positions)))]  # indices into ``positions``
+    while last := derived[-1]:
+        derived.append({t for a, t, e in edges if a in last and t in last and e in last})
+        if len(derived) > len(positions) + 2:
             raise InvariantViolation("derived series did not terminate")
 
     return SeriesReport(
-        rootset=M,
-        lower_positions=lower,
-        upper_positions=upper,
-        derived_positions=tuple(tuple(_members(t)) for t in derived),
-        nilpotency_class=l + 1 if M.roots else 0,
+        lower=tuple(RootSet(A, tuple(compress(positions, [d >= k for d in longest_to])))
+                    for k in range(l + 2)),
+        upper=tuple(RootSet(A, tuple(compress(positions, [d < k for d in longest_from])))
+                    for k in range(l + 2)),
+        derived=tuple(RootSet(A, tuple([positions[x] for x in sorted(t)])) for t in derived),
+        nilpotency_class=l + 1 if positions else 0,
         derived_length=len(derived) - 1,
         longest_path=l,
         center_indices=_center_indices(M) if has_open_orbit(M) else None,
@@ -541,7 +543,7 @@ def variety_type(A: RayMatrix) -> str:
     """Type I when the maximal unipotent subgroup is commutative, i.e. when
     the root graph on the positive roots has no arrow."""
     table = demazure_roots(A)
-    return TYPE_II if any(_sum_triples(table.positive, table.position)) else TYPE_I
+    return TYPE_II if any(_sum_triples(table)) else TYPE_I
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from itertools import accumulate
+from operator import add, attrgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InputError, InvariantViolation, NotCanonicalError
@@ -65,15 +66,7 @@ class DemazureRoot:
         return "semisimple" if self.semisimple else "unipotent"
 
     def display(self) -> str:
-        # Built once per root, since a root shows up in many subgroups'
-        # output, and kept as an instance attribute that is not a field, so
-        # out of ==, hash, ordering and repr.  Reading ``self.__dict__``
-        # would give every root a dict of its own, twice the memory.
-        cached = getattr(self, "_display", None)
-        if cached is None:
-            cached = display(self.coords)
-            object.__setattr__(self, "_display", cached)
-        return cached
+        return display(self.coords)
 
 
 def display(coords: Sequence[int]) -> str:
@@ -158,24 +151,25 @@ class RootSystem:
     @cached_property
     def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         out: list[list[tuple[int, int]]] = [[] for _ in self.positive]
-        for x, y, s in _sum_triples(self.positive, self.position):
+        for x, y, s in _sum_triples(self):
             out[x].append((y, s))
             out[y].append((x, s))
         return tuple(map(tuple, out))
 
 
-def _sum_triples(roots: Sequence[DemazureRoot], index: dict) -> Iterator[tuple[int, int, int]]:
-    """Positions ``(x, y, s)`` of sorted positive ``roots`` (numbered by
-    ``index``) with ``x + y = s`` and ``ray(x) < ray(y) = j``, by ascending
-    ``x`` then ``y``.  A positive root on level ``j`` is ``-1`` at ``j``, ``0``
-    below and ``>= 0`` above, so only levels ``j`` with ``x_j >= 1`` can
-    give a root (on the level of ``x``); two roots of one level never do."""
-    levels = {j: [k for k, r in enumerate(roots) if r.ray == j] for j in {r.ray for r in roots}}
-    for x, a in enumerate(roots):
+def _sum_triples(table: RootSystem) -> Iterator[tuple[int, int, int]]:
+    """Positions ``(x, y, s)`` of the positive roots of ``table`` with
+    ``x + y = s`` and ``ray(x) < ray(y) = j``, by ascending ``x`` then ``y``.
+    A positive root on level ``j`` is ``-1`` at ``j``, ``0`` below and ``>= 0``
+    above, so only levels ``j`` with ``x_j >= 1`` can give a root (on the
+    level of ``x``); two roots of one level never do."""
+    positive, index = table.positive, table.position
+    cuts = list(accumulate(map(len, table.levels), initial=0))  # level j: cuts[j]..cuts[j+1]
+    for x, a in enumerate(positive):
         for j, c in enumerate(a.coords):
             if c >= 1:
-                for y in levels.get(j, ()):
-                    s = index.get(tuple(p + q for p, q in zip(a.coords, roots[y].coords)))
+                for y in range(cuts[j], cuts[j + 1]):
+                    s = index.get(tuple(map(add, a.coords, positive[y].coords)))
                     if s is not None:
                         yield x, y, s
 

@@ -80,7 +80,7 @@ def sequence_to_rays(seq: SurfaceSequence) -> RayList:
     )
     if descents != 1:
         raise InputError(f"rays wind {descents} times around the origin, expected 1")
-    return RayList.validate(rays, 2)
+    return RayList(2, tuple(rays))  # distinct int rays, primitive by the determinants
 
 
 def is_radiant_sequence(seq: SurfaceSequence) -> bool:

@@ -37,7 +37,7 @@ def incomparable_columns_matrix(n):
 
 
 def positive_rootset(A):
-    return RootSet.of(A.n, [r for level in positive_roots(A) for r in level])
+    return RootSet.of(A, [r for level in positive_roots(A) for r in level])
 
 
 def satisfies_canonical_condition(A):

@@ -194,7 +194,7 @@ def brute_force_open_orbit_rootsets(A):
                 break
         if ok:
             results.append(
-                RootSet.of(A.n, [r for i, r in enumerate(pos) if mask >> i & 1])
+                RootSet.of(A, [r for i, r in enumerate(pos) if mask >> i & 1])
             )
     return sorted(results, key=RootSet.sort_key)
 
@@ -220,7 +220,7 @@ def level_mask_rootsets(A):
 
     def descend(i, picked, higher):
         if i < 0:
-            results.append(RootSet.of(A.n, [r for lev in picked for r in lev]))
+            results.append(RootSet.of(A, [r for lev in picked for r in lev]))
             return
         basic = next(r for r in pos[i] if r.kind == "basic")
         optional = [r for r in pos[i] if r is not basic]

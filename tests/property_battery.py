@@ -117,7 +117,7 @@ def check_jacobi(A):
 
 def _sample_saturated_sets(A):
     pos = positive_roots(A)
-    sets = [RootSet.of(A.n, [r for level in pos for r in level])]
+    sets = [RootSet.of(A, [r for level in pos for r in level])]
     total = sum(len(level) for level in pos)
     if total <= ENUM_ORACLE_LIMIT:
         enumerated = enumerate_open_orbit_subgroups(A).subgroups

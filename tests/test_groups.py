@@ -49,7 +49,7 @@ from oracles import (
 
 def rootset(A, coords_list):
     system = demazure_roots(A)
-    return RootSet.of(A.n, [system.find(tuple(c)) for c in coords_list])
+    return RootSet.of(A, [system.find(tuple(c)) for c in coords_list])
 
 
 # -- saturation --------------------------------------------------------------
@@ -79,6 +79,23 @@ def test_saturation_weighted_projective_witness(p123):
 def test_saturation_rejects_foreign_elements(p123):
     with pytest.raises(InputError, match="not in the positive roots"):
         is_saturated(p123, rootset(p123, [(0, 0, 1)]))
+
+
+def test_rootset_of_rejects_a_detached_root(p123):
+    # the unit column 3 of [[3, 2, 1]] makes q3 a root on the fourth ray
+    detached = [r for r in demazure_roots(p123).roots if r.kind == "detached"]
+    assert [r.coords for r in detached] == [(0, 0, 1)]
+    with pytest.raises(InputError, match="not in the positive roots"):
+        RootSet.of(p123, detached)
+
+
+def test_rootsets_compare_by_matrix_and_positions(p123):
+    same = validate_ray_matrix([[3, 2, 1]], 3)
+    other = projective_space(3)
+    assert same is not p123
+    assert RootSet(p123, (0, 1)) != RootSet(other, (0, 1))
+    assert RootSet(p123, (0, 1)) == RootSet(same, (0, 1))
+    assert hash(RootSet(p123, (0, 1))) == hash(RootSet(same, (0, 1)))
 
 
 def test_closure_projective_plane():
@@ -402,6 +419,18 @@ def test_series_weighted_projective(p123):
     assert report.center_indices == (0,)
 
 
+def test_series_terms_are_root_sets_over_the_matrix_of_the_set(p123):
+    # a proper subgroup, so the terms' positions are positions in the root
+    # table, not indices into the set
+    M = rootset(p123, [(-1, 0, 0), (-1, 0, 1), (-1, 1, 0), (0, -1, 0), (0, -1, 1), (0, 0, -1)])
+    assert is_saturated(p123, M)[0] and M.dimension < len(positive_rootset(p123))
+    report = series_report(M)
+    assert report.lower[1].dimension > 0
+    for term in report.lower + report.upper + report.derived:
+        assert term.matrix is M.matrix
+        assert set(term.positions) <= set(M.positions) and term.coords <= M.coords
+
+
 def test_series_commutative(p123):
     basics = rootset(p123, [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     report = series_report(basics)
@@ -461,6 +490,13 @@ def test_variety_type(p123):
     assert variety_type(p123) == "II"
     identity2 = validate_ray_matrix([[1, 0], [0, 1]], 2)
     assert variety_type(identity2) == "I"
+
+
+def test_variety_type_stops_at_the_first_sum_triple(p123):
+    # Type II is decided without building the whole sum relation
+    demazure_roots.cache_clear()
+    assert variety_type(p123) == "II"
+    assert "partners" not in vars(demazure_roots(p123))
 
 
 def test_incomparable_matrix_has_unique_subgroup():

@@ -4,6 +4,7 @@ from toricroots import (
     CapExceededError,
     InputError,
     NotRadiantError,
+    RayList,
     SurfaceSequence,
     bilateralize,
     blow_up,
@@ -43,6 +44,12 @@ def test_sequence_to_rays_quadrilaterals():
     for q in range(5):
         rl = sequence_to_rays(seq(0, q, 0, -q))
         assert rl.rays == ((1, 0), (0, 1), (-1, q), (0, -1))
+
+
+def test_sequence_to_rays_builds_what_validation_accepts():
+    for sq in enumerate_smooth_surfaces(9):
+        r = sequence_to_rays(sq)
+        assert RayList.validate(r.rays, 2) == r
 
 
 def test_sequence_that_does_not_close():
