@@ -104,6 +104,15 @@ VERIFY_FANS = ["40 1", "20 1", "12 7 1", "5 3 2 1", "300 1"]
 #: cap stops NextClosure part way through the fan's subgroups.
 CAPPED_ENUMERATION = ["enumerate", "--ray-matrix", "5 4 3 2 1", "--max-results", "2000"]
 
+#: Partial lists (exit 1) of root-heavy fans: 1 000 subgroups of
+#: ``[[25,1,1]]`` (351 positive roots, about 2.4 MB of JSON) and 500 of
+#: ``[[8,1,1]]`` with the histogram, as a table.
+CAPPED_ROOT_HEAVY = [
+    ["enumerate", "--ray-matrix", "25 1 1", "--max-results", "1000", "--format", "json"],
+    ["enumerate", "--ray-matrix", "8 1 1", "--max-results", "500", "--histogram",
+     "--format", "table"],
+]
+
 #: The radiant rank-5 ray list of ``RAYS_HIGHER_RANK`` (20 open-orbit
 #: subgroups), for the commands that list root sets.
 ROOT_SET_RAYS = RAYS_HIGHER_RANK[4]
@@ -205,7 +214,7 @@ def commands() -> list[list[str]]:
     out += [CAPPED_ENUMERATION + ["--format", f] for f in ("json", "table")]
     for cmd in ("enumerate", "series", "center"):
         out += [[cmd, f"--rays={ROOT_SET_RAYS}", "--format", f] for f in _formats(cmd)]
-    return out + PARSER_PATHS
+    return out + PARSER_PATHS + CAPPED_ROOT_HEAVY
 
 
 def digest(argv: list[str]) -> dict:
