@@ -10,7 +10,8 @@ number of roots in ``M``.
 
 A root set is a tuple of positions in the positive roots of the one root
 table per matrix (``roots.RootSystem``), whose sum triples drive the one
-closure ``_close`` on bitmasks of those positions.
+closure ``_close`` on bitmasks of those positions and the reverse search
+that lists the open-orbit subgroups.
 The module also computes the abstract shape of the maximal unipotent
 subgroup as an iterated semidirect product of triangular blocks, and derives
 centers, central series, derived series, nilpotency class and derived length
@@ -24,10 +25,12 @@ a root set to the arrow targets computes derived subgroups.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import lt
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -63,6 +66,12 @@ class RootSet:
     matrix: RayMatrix
     positions: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        p = self.positions  # checked in linear time, without the root table
+        if type(p) is not tuple or not {int}.issuperset(map(type, p)) or p and (
+                p[0] < 0 or not all(map(lt, p, p[1:]))):
+            raise InputError(f"positions must be strictly increasing non-negative ints: {p!r:.60}")
+
     @classmethod
     def of(cls, A: RayMatrix, roots: Iterable[DemazureRoot]) -> "RootSet":
         """Raises ``InputError`` for a root that is not positive in ``A``."""
@@ -75,7 +84,7 @@ class RootSet:
 
     @property
     def roots(self) -> tuple[DemazureRoot, ...]:
-        positive = demazure_roots(self.matrix).positive
+        positive = _checked(self, demazure_roots(self.matrix)).positive
         return tuple([positive[k] for k in self.positions])
 
     @cached_property
@@ -109,6 +118,14 @@ def umax_rootset(A: RayMatrix) -> RootSet:
 # closure on bitmasks over the positive roots of the root table
 
 
+def _checked(M: RootSet, table: RootSystem) -> RootSystem:
+    """``table``, the root table of ``M.matrix``; raises ``InputError`` for a
+    position of ``M`` past it."""
+    if M.positions and M.positions[-1] >= len(table.positive):
+        raise InputError(f"position {M.positions[-1]} is past the positive roots")
+    return table
+
+
 def _rootset(table: RootSystem, mask: int) -> RootSet:
     return RootSet(table.matrix, tuple(_members(mask)))
 
@@ -133,6 +150,8 @@ def _as_mask(table: RootSystem, M: RootsLike) -> int:
     """The bitmask of ``M``: of a root set over the table's matrix by its
     positions, of other roots by their coordinates."""
     own = isinstance(M, RootSet) and M.matrix == table.matrix
+    if own:
+        _checked(M, table)
     digits = bytearray(b"0") * len(table.positive)  # parsed in linear time, unlike N ORs
     for r in M.positions if own else M:
         k = r if own else table.position.get(r.coords)
@@ -149,13 +168,9 @@ def is_saturated(
     (a, b, a+b), with ``a`` and then ``b`` in sorted order."""
     table = demazure_roots(A)
     mask = _as_mask(table, M)
-    if _close(table, mask, _members(mask)) == mask:
-        return True, None
-    x, y, s = next(
-        (x, y, s) for x in _members(mask) for y, s in table.partners[x]
-        if y > x and mask >> y & 1 and not mask >> s & 1
-    )
-    return False, (table.positive[x].coords, table.positive[y].coords, table.positive[s].coords)
+    bad = next(((x, y, s) for x in _members(mask) for y, s in table.partners[x]
+                if y > x and mask >> y & 1 and not mask >> s & 1), None)
+    return bad is None, bad and tuple(table.positive[k].coords for k in bad)
 
 
 def saturation_closure(A: RayMatrix, M: RootsLike) -> RootSet:
@@ -196,54 +211,47 @@ def enumerate_open_orbit_subgroups(
 ) -> EnumerationResult:
     """All saturated subsets of the positive roots containing every basic root.
 
-    These are the closed sets of ``_close`` above the closure of the basic
-    roots, listed by Ganter's NextClosure, which spends polynomial work per
-    set.  Output is sorted by (dimension, root list).  Finding more than
-    ``max_results`` raises ``ResultCapError`` carrying the first
-    ``max_results`` sets in NextClosure order, sorted the same way.
+    Listed by reverse search (Avis and Fukuda 1996) from the set of basic
+    roots, which is saturated: two basic roots never sum to a root.  The
+    parent of any other such set drops its highest non-basic root ``h`` and
+    stays saturated, since a sum ``x + y = s`` (``y`` on the higher level)
+    sorts below ``y``, and below ``x`` too when ``y`` is basic; so ``s = h``
+    needs a non-basic summand above ``h``.  A child adds a non-basic root
+    ``j`` above its parent's and is kept when no partner of ``j`` in the
+    parent has its sum outside it: at most one such scan per positive root
+    for each set listed.  Children are visited by decreasing ``j``, which is
+    lectic (NextClosure) order.  Output is sorted by (dimension, root list);
+    finding more than ``max_results`` raises ``ResultCapError`` carrying the
+    first ``max_results`` sets in lectic order, sorted the same way.
     """
     table = demazure_roots(A)
-    found: list[int] = []
-    closed: Optional[int] = _close(table, table.basics, _members(table.basics))
-    while closed is not None:
-        if len(found) >= max_results:
-            raise ResultCapError(
-                f"enumeration cap of {max_results} subgroups exceeded",
-                partial=_finish_enumeration(table, found, complete=False),
-            )
-        found.append(closed)
-        closed = _next_closure(table, closed)
-    return _finish_enumeration(table, found, complete=True)
-
-
-def _next_closure(table: RootSystem, closed: int) -> Optional[int]:
-    """The lectically next closed set after ``closed`` (Ganter 1984).
-
-    In sorted numbering ``s`` lies below ``x`` when ``y`` is basic and below
-    ``y`` otherwise, so the part of a closed set below ``i`` together with
-    the basic roots is closed: closing after adding root ``i`` only has to
-    follow ``i``.
-    """
-    for i in range(len(table.positive) - 1, -1, -1):
-        bit = 1 << i
-        if closed & bit:
-            continue
-        below = closed & (bit - 1)
-        candidate = _close(table, below | table.basics | bit, (i,))
-        if candidate & (bit - 1) == below:
-            return candidate
-    return None
-
-
-def _finish_enumeration(
-    table: RootSystem, found: list[int], complete: bool
-) -> EnumerationResult:
-    # Positive roots are numbered in sorted order, so sorting by members
-    # and then, stably, by dimension gives the order of ``RootSet.sort_key``.
-    ordered = sorted(tuple(_members(mask)) for mask in found)
-    ordered.sort(key=len)
-    hist = Counter(map(len, ordered))
-    return EnumerationResult(table.matrix, tuple(ordered), tuple(sorted(hist.items())), complete)
+    partners = table.partners
+    free = [j for j in range(len(table.positive)) if not table.basics >> j & 1]
+    found: list[tuple[int, ...]] = []
+    # (parent mask, parent positions, index in ``free`` of the root added, or -1)
+    stack = [(table.basics, tuple(_members(table.basics)), -1)]
+    while stack and len(found) < max_results:
+        mask, members, i = stack.pop()
+        if i >= 0:
+            j = free[i]
+            mask |= 1 << j
+            at = bisect(members, j)
+            members = members[:at] + (j,) + members[at:]
+        found.append(members)
+        for i in range(i + 1, len(free)):
+            for other, s in partners[free[i]]:  # neither is the added root
+                if mask >> other & 1 and not mask >> s & 1:
+                    break
+            else:
+                stack.append((mask, members, i))
+    # positions number the roots in sorted order: this is ``RootSet.sort_key``'s order
+    found.sort()
+    found.sort(key=len)
+    hist = tuple(sorted(Counter(map(len, found)).items()))
+    result = EnumerationResult(table.matrix, tuple(found), hist, complete=not stack)
+    if stack:  # every set on the stack is one more subgroup
+        raise ResultCapError(f"enumeration cap of {max_results} subgroups exceeded", partial=result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -340,23 +348,12 @@ class UmaxReport:
 
 
 def umax_shape(A: RayMatrix) -> UmaxReport:
-    pos = positive_roots(A)
-    pre = demazure_roots(A).preorder
-    blocks = []
-    sizes = []
-    for cls in pre.classes:
-        k = len(pos[cls[0]]) + 1
-        l = len(cls)
-        sizes.append((k, l))
-        blocks.append(block(k, l))
-    shape = _chain(list(reversed(blocks)))
+    pos, pre = positive_roots(A), demazure_roots(A).preorder
+    sizes = tuple((len(pos[cls[0]]) + 1, len(cls)) for cls in pre.classes)
+    blocks = [block(k, l) for k, l in sizes]
     per_ray = _chain([AbelianPower(len(pos[i])) for i in range(A.n - 1, -1, -1)])
-    return UmaxReport(
-        shape=shape,
-        per_ray_shape=per_ray,
-        classes=pre.classes,
-        block_sizes=tuple(sizes),
-    )
+    return UmaxReport(shape=_chain(blocks[::-1]), per_ray_shape=per_ray,
+                      classes=pre.classes, block_sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -460,7 +457,8 @@ def root_graph(M: RootSet) -> RootGraph:
 def _graph(M: RootSet) -> tuple[list, list[int], list[int]]:
     """``root_graph(M)``'s arrows as sorted indices into ``M.positions``, from
     the table's sum triples inside ``M``, and ``_path_lengths``."""
-    partners, local = demazure_roots(M.matrix).partners, {k: x for x, k in enumerate(M.positions)}
+    partners = _checked(M, demazure_roots(M.matrix)).partners
+    local = {k: x for x, k in enumerate(M.positions)}
     triples = [(x, local[y], local[s]) for x, k in enumerate(M.positions)
                for y, s in partners[k] if y > k and y in local and s in local]
     edges = sorted(e for x, y, s in triples for e in ((x, s, y), (y, s, x)))

@@ -22,10 +22,14 @@ multiplied out from one.  ``classified_roots`` is the root table the way
 ``toricroots.roots.demazure_roots`` built it before it read each root's kind
 off its coordinate sum: kinds from the non-zero coordinates, the semisimple
 test by negating every root, and one sort of all roots.
+``next_closure_positions`` lists the open-orbit root sets by Ganter's
+NextClosure, the way ``toricroots.groups.enumerate_open_orbit_subgroups`` did
+before its reverse search, in the same lectic order.
 """
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -33,10 +37,10 @@ from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from toricroots import (
-    DegreeCapError, InputError, InvariantViolation, RootSet, positive_roots,
+    DegreeCapError, InputError, InvariantViolation, RootSet, demazure_roots, positive_roots,
 )
 from toricroots.fan import Bilateralization, RayList, RayMatrix
-from toricroots.groups import Arrow, RootGraph
+from toricroots.groups import Arrow, RootGraph, _close, _members
 from toricroots.lattice import IntVector, as_vector
 from toricroots.liealg import bracket
 from toricroots.poly import Poly
@@ -244,9 +248,10 @@ def literal_sum_triples(A):
     out = []
     for a in pos:
         for b in pos:
-            s = tuple(x + y for x, y in zip(a.coords, b.coords))
-            if a.ray < b.ray and literal_root_ray(A, s) is not None:
-                out.append((a.coords, b.coords, s))
+            if a.ray < b.ray:
+                s = tuple(x + y for x, y in zip(a.coords, b.coords))
+                if literal_root_ray(A, s) is not None:
+                    out.append((a.coords, b.coords, s))
     return out
 
 
@@ -685,3 +690,42 @@ def subset_bilateral_witness(rl: RayList) -> Optional[Bilateralization]:
 def stdlib_json(obj) -> str:
     """``obj`` in the CLI's JSON form, written by the standard library."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def next_closure_positions(A, max_results):
+    """The first ``max_results`` open-orbit root sets in lectic order, as
+    ``toricroots.groups.enumerate_open_orbit_subgroups`` found them before
+    its reverse search: Ganter's NextClosure over ``groups._close``, from the
+    closure of the basic roots.  Returns ``(positions, histogram, complete)``
+    in the form of ``EnumerationResult``: the sets' position tuples sorted by
+    (dimension, root list), ``(dimension, count)`` pairs, and whether no
+    further set exists.
+    """
+    table = demazure_roots(A)
+    found = []
+    closed = _close(table, table.basics, _members(table.basics))
+    while closed is not None and len(found) < max_results:
+        found.append(closed)
+        closed = _next_closure(table, closed)
+    ordered = sorted(tuple(_members(mask)) for mask in found)
+    ordered.sort(key=len)
+    return tuple(ordered), tuple(sorted(Counter(map(len, ordered)).items())), closed is None
+
+
+def _next_closure(table, closed):
+    """The lectically next closed set after ``closed`` (Ganter 1984), or None.
+
+    In sorted numbering ``s`` lies below ``x`` when ``y`` is basic and below
+    ``y`` otherwise, so the part of a closed set below ``i`` together with
+    the basic roots is closed: closing after adding root ``i`` only has to
+    follow ``i``.
+    """
+    for i in range(len(table.positive) - 1, -1, -1):
+        bit = 1 << i
+        if closed & bit:
+            continue
+        below = closed & (bit - 1)
+        candidate = _close(table, below | table.basics | bit, (i,))
+        if candidate & (bit - 1) == below:
+            return candidate
+    return None

@@ -101,7 +101,8 @@ MANY_BATCHES = [["roots", "--ray-matrix", "300 1 1"],
 VERIFY_FANS = ["40 1", "20 1", "12 7 1", "5 3 2 1", "300 1"]
 
 #: A partial list (exit 1) of 2 000 subgroups, about 2.9 MB of JSON: the
-#: cap stops NextClosure part way through the fan's subgroups.
+#: cap stops the enumeration part way through the fan's subgroups, so the
+#: list pins which subgroups come first in lectic order.
 CAPPED_ENUMERATION = ["enumerate", "--ray-matrix", "5 4 3 2 1", "--max-results", "2000"]
 
 #: Partial lists (exit 1) of root-heavy fans: 1 000 subgroups of

@@ -354,3 +354,22 @@ def test_criterion_19_symbolic_battery_uses_packed_monomials():
         (121, True), (3827, True), (3827, True), (4, True)
     )
     report(19, t, "every symbolic identity of P(1,10,20,30) verified")
+
+
+def test_criterion_20_enumeration_work_is_bounded_by_the_cap():
+    for k, cap, budget in ((25, 1000, 0.5), (60, 2000, 3.0)):
+        A = validate_ray_matrix([[k, 1, 1]], 3)
+        positive_roots(A)
+        with Timer(budget) as t:
+            with pytest.raises(ResultCapError) as err:
+                enumerate_open_orbit_subgroups(A, max_results=cap)
+        partial = err.value.partial
+        assert partial.count == cap and not partial.complete
+        sets = {rs.coords for rs in partial.subgroups}
+        assert len(sets) == cap
+        basics = {r.coords for level in positive_roots(A) for r in level if r.kind == "basic"}
+        triples = literal_sum_triples(A)
+        for coords in sets:
+            assert basics <= coords
+            assert all(s in coords for a, b, s in triples if a in coords and b in coords)
+        report(20, t, f"{cap} distinct saturated subgroups of [[{k},1,1]] up to the cap")

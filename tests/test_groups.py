@@ -2,6 +2,9 @@ import pytest
 
 from toricroots import (
     InputError,
+    RayList,
+    bilateralize,
+    canonical_reorder,
     NoOpenOrbitError,
     NotTypeIError,
     ResultCapError,
@@ -44,7 +47,9 @@ from oracles import (
     level_mask_rootsets,
     lie_series_oracle,
     literal_sum_triples,
+    next_closure_positions,
 )
+from pin_cli import RAYS_HIGHER_RANK
 
 
 def rootset(A, coords_list):
@@ -96,6 +101,21 @@ def test_rootsets_compare_by_matrix_and_positions(p123):
     assert RootSet(p123, (0, 1)) != RootSet(other, (0, 1))
     assert RootSet(p123, (0, 1)) == RootSet(same, (0, 1))
     assert hash(RootSet(p123, (0, 1))) == hash(RootSet(same, (0, 1)))
+
+
+
+@pytest.mark.parametrize("positions", [(1, 0), (0, 0), (-1,), (0, True), (0.0,), [0, 1], 5])
+def test_rootset_positions_must_be_increasing_non_negative_ints(p123, positions):
+    with pytest.raises(InputError, match="strictly increasing non-negative ints"):
+        RootSet(p123, positions)
+
+
+def test_rootset_position_past_the_table_is_an_input_error(p123):
+    far = RootSet(p123, (0, 10**6))  # the constructor does not read the table
+    for read in (lambda: far.roots, lambda: far.coords, lambda: is_saturated(p123, far),
+                 lambda: has_open_orbit(far), lambda: series_report(far)):
+        with pytest.raises(InputError, match="position 1000000 is past the positive roots"):
+            read()
 
 
 def test_closure_projective_plane():
@@ -235,6 +255,43 @@ def test_enumeration_cap_boundary(rows):
     assert len({rs.coords for rs in partial.subgroups}) == full.count - 1
     assert all(is_saturated(A, rs)[0] and has_open_orbit(rs) for rs in partial.subgroups)
     assert list(partial.subgroups) == sorted(partial.subgroups, key=RootSet.sort_key)
+
+
+def _radiant_matrices(texts):
+    """The canonical ray matrices of the ray lists ``texts`` that have a
+    bilateral witness."""
+    out = []
+    for text in texts:
+        rows = [[int(x) for x in chunk.split()] for chunk in text.split(";")]
+        witness = bilateralize(RayList.validate(rows, len(rows[0])))
+        if witness is not None:
+            out.append(canonical_reorder(witness.matrix)[1])
+    return out
+
+
+def _capped(A, cap):
+    """``enumerate_open_orbit_subgroups(A, cap)``, or the partial result
+    its ``ResultCapError`` carries."""
+    try:
+        result = enumerate_open_orbit_subgroups(A, max_results=cap)
+    except ResultCapError as err:
+        result = err.partial
+    return result.positions, result.histogram, result.complete
+
+
+def test_reverse_search_matches_next_closure_with_and_without_caps():
+    fans = random_ray_matrices(200, SEED_100)
+    fans += [validate_ray_matrix([[k, 1, 1]], 3) for k in range(1, 9)]
+    fans += _radiant_matrices(RAYS_HIGHER_RANK[:6])  # the rest have no rank-3 span or witness
+    partial = 0
+    for A in fans:
+        result = enumerate_open_orbit_subgroups(A)
+        oracle = next_closure_positions(A, result.count + 1)
+        assert (result.positions, result.histogram, result.complete) == oracle
+        for cap in {1, 2, result.count - 1} - {0}:
+            assert _capped(A, cap) == next_closure_positions(A, cap)
+            partial += cap < result.count
+    assert len(fans) == 200 + 8 + 3 and partial == 346
 
 
 def test_series_matches_lie_oracle_on_weighted_space_sample():
