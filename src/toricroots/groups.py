@@ -61,15 +61,16 @@ RootsLike = Union["RootSet", Iterable[DemazureRoot]]
 class RootSet:
     """A set of positive roots of the canonical ray matrix ``matrix``: the
     sorted positions of its roots in ``demazure_roots(matrix).positive``.
-    Root sets over different matrices are unequal."""
+    Root sets over different matrices are unequal.  Positions that are not
+    strictly increasing non-negative ints raise ``InputError``."""
 
     matrix: RayMatrix
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
         p = self.positions  # checked in linear time, without the root table
-        if type(p) is not tuple or not {int}.issuperset(map(type, p)) or p and (
-                p[0] < 0 or not all(map(lt, p, p[1:]))):
+        if type(p) is not tuple or p and (
+                not {int}.issuperset(map(type, p)) or p[0] < 0 or not all(map(lt, p, p[1:]))):
             raise InputError(f"positions must be strictly increasing non-negative ints: {p!r:.60}")
 
     @classmethod
@@ -239,7 +240,7 @@ def enumerate_open_orbit_subgroups(
             members = members[:at] + (j,) + members[at:]
         found.append(members)
         for i in range(i + 1, len(free)):
-            for other, s in partners[free[i]]:  # neither is the added root
+            for other, s in partners[free[i]]:  # neither is free[i]: the parent decides
                 if mask >> other & 1 and not mask >> s & 1:
                     break
             else:

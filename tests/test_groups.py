@@ -2,13 +2,13 @@ import pytest
 
 from toricroots import (
     InputError,
-    RayList,
-    bilateralize,
-    canonical_reorder,
     NoOpenOrbitError,
     NotTypeIError,
+    RayList,
     ResultCapError,
     RootSet,
+    bilateralize,
+    canonical_reorder,
     center,
     demazure_roots,
     enumerate_open_orbit_subgroups,
@@ -101,7 +101,6 @@ def test_rootsets_compare_by_matrix_and_positions(p123):
     assert RootSet(p123, (0, 1)) != RootSet(other, (0, 1))
     assert RootSet(p123, (0, 1)) == RootSet(same, (0, 1))
     assert hash(RootSet(p123, (0, 1))) == hash(RootSet(same, (0, 1)))
-
 
 
 @pytest.mark.parametrize("positions", [(1, 0), (0, 0), (-1,), (0, True), (0.0,), [0, 1], 5])
@@ -282,7 +281,7 @@ def _capped(A, cap):
 def test_reverse_search_matches_next_closure_with_and_without_caps():
     fans = random_ray_matrices(200, SEED_100)
     fans += [validate_ray_matrix([[k, 1, 1]], 3) for k in range(1, 9)]
-    fans += _radiant_matrices(RAYS_HIGHER_RANK[:6])  # the rest have no rank-3 span or witness
+    fans += _radiant_matrices(RAYS_HIGHER_RANK[:6])  # the six seeded ray lists
     partial = 0
     for A in fans:
         result = enumerate_open_orbit_subgroups(A)
