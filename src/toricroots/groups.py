@@ -409,7 +409,7 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
         raise NoOpenOrbitError(
             "center formula needs an open orbit: the root set must hold every basic root"
         )
-    indices = _center_indices(_rootset(table, mask))
+    indices = _center_indices(A.n, [table.positive[k] for k in _members(mask)])
     basics = _members(table.basics)
     center_roots = RootSet(A, tuple(k for k in basics if table.positive[k].ray in indices))
     if mask == (1 << len(table.positive)) - 1:
@@ -424,10 +424,9 @@ def center(M: RootsLike, A: RayMatrix) -> CenterReport:
     return CenterReport(indices=indices, roots=center_roots)
 
 
-def _center_indices(M: RootSet) -> tuple[int, ...]:
-    """Indices whose pairing with every root of ``M`` is non-positive."""
-    roots = M.roots
-    return tuple(i for i in range(M.n) if all(r.coords[i] <= 0 for r in roots))
+def _center_indices(n: int, roots: Sequence[DemazureRoot]) -> tuple[int, ...]:
+    """Indices whose pairing with every root of ``roots`` is non-positive."""
+    return tuple(i for i in range(n) if all(r.coords[i] <= 0 for r in roots))
 
 
 @dataclass(frozen=True)
@@ -530,7 +529,7 @@ def series_report(M: RootSet) -> SeriesReport:
         nilpotency_class=l + 1 if positions else 0,
         derived_length=len(derived) - 1,
         longest_path=l,
-        center_indices=_center_indices(M) if has_open_orbit(M) else None,
+        center_indices=_center_indices(M.n, M.roots) if has_open_orbit(M) else None,
     )
 
 
