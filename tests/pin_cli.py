@@ -88,6 +88,8 @@ SEQUENCE_M12 = "7,1,3,1,3,2,2,2,2,4,0,-3"
 ROOT_HEAVY_FAN = "60 1 1"
 
 #: Fans with detached roots: two on one ray, and two on each of two rays.
+#: With ``LARGE_FANS`` they also pin ``verify`` on rank-5 fans and on
+#: classes whose elementary roots sit inside the class.
 DETACHED_FANS = ["1 1 2; 0 0 1", "1 1 0 0; 0 0 1 1"]
 
 #: Reports far longer than one batch of output: ``roots`` on a fan with
@@ -215,7 +217,10 @@ def commands() -> list[list[str]]:
     out += [CAPPED_ENUMERATION + ["--format", f] for f in ("json", "table")]
     for cmd in ("enumerate", "series", "center"):
         out += [[cmd, f"--rays={ROOT_SET_RAYS}", "--format", f] for f in _formats(cmd)]
-    return out + PARSER_PATHS + CAPPED_ROOT_HEAVY
+    out += PARSER_PATHS + CAPPED_ROOT_HEAVY
+    for fan in LARGE_FANS + DETACHED_FANS:
+        out += [["verify", "--ray-matrix", fan, "--format", f] for f in ("json", "table")]
+    return out
 
 
 def digest(argv: list[str]) -> dict:
