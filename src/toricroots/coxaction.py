@@ -75,24 +75,15 @@ def _checked_theta(A: RayMatrix, root: DemazureRoot) -> tuple[int, ...]:
     return theta(A, root)
 
 
-#: Key in ``vars(ring)`` of the table of what one ``verify_all`` battery has
-#: built; only the battery's own ring has one, other callers build afresh.
-_BATTERY_TABLE = "battery_table"
-
-
 def root_automorphism(
     A: RayMatrix, root: DemazureRoot, alpha: ScalarLike, ring: Optional[PolyRing] = None
 ) -> PolyAutomorphism:
     """The automorphism ``x_l -> x_l + alpha * x^{theta}`` of a positive root."""
     if ring is None:
         ring = ring_for(A)
-    table = vars(ring).get(_BATTERY_TABLE, {})
-    auto = table.get((A, root, alpha))
-    if auto is None:
-        images = list(ring.variables)
-        images[root.ray] += _as_poly(alpha, ring) * ring.monomial(_checked_theta(A, root))
-        auto = table[A, root, alpha] = PolyAutomorphism(ring, tuple(images))
-    return auto
+    images = list(ring.variables)
+    images[root.ray] += _as_poly(alpha, ring) * ring.monomial(_checked_theta(A, root))
+    return PolyAutomorphism(ring, tuple(images))
 
 
 def compose(g: PolyAutomorphism, h: PolyAutomorphism) -> PolyAutomorphism:
@@ -151,22 +142,24 @@ def verify_conjugation(
         raise InputError("conjugating root must live on a strictly higher level")
     a = ring.param("a") if alpha is None else _as_poly(alpha, ring)
     b = ring.param("b") if beta is None else _as_poly(beta, ring)
+    lhs, rhs = _conjugation_sides(A, partial(root_automorphism, A, ring=ring), e, f, a, b)
+    return lhs == rhs
+
+
+def _conjugation_factors(A: RayMatrix, e, f, a: Poly, b: Poly) -> list[tuple[DemazureRoot, Poly]]:
+    """The right-hand factors ``(e + k f, C(d, k) a b^k)``, k = 0..d, of the
+    conjugation identity."""
     d = e.coords[f.ray]
-    lhs = _conjugation_word(A, e, f, a, b, ring)
-    factors = []
-    for k in range(d + 1):
-        coords = tuple(x + k * y for x, y in zip(e.coords, f.coords))
-        factors.append(root_automorphism(A, _root_obj(A, coords), a * b**k * comb(d, k), ring))
-    return lhs == product(factors)
+    return [(_root_obj(A, tuple(x + k * y for x, y in zip(e.coords, f.coords))),
+             a * b**k * comb(d, k)) for k in range(d + 1)]
 
 
-def _conjugation_word(A: RayMatrix, e, f, a: Poly, b: Poly, ring: PolyRing) -> PolyAutomorphism:
-    """``u_f(-b) u_e(a) u_f(b)``; a battery keeps it until it drops the key."""
-    table = vars(ring).get(_BATTERY_TABLE, {})
-    if (A, e, f, a, b) not in table:
-        autos = [root_automorphism(A, r, c, ring) for r, c in ((f, -b), (e, a), (f, b))]
-        table[A, e, f, a, b] = product(autos)
-    return table[A, e, f, a, b]
+def _conjugation_sides(A: RayMatrix, u, e, f, a: Poly, b: Poly):
+    """Both sides of the conjugation identity, with ``u(root, alpha)`` building
+    each root automorphism: the word ``u_f(-b) u_e(a) u_f(b)`` and the
+    product of the right-hand factors."""
+    word = product([u(f, -b), u(e, a), u(f, b)])
+    return word, product([u(r, c) for r, c in _conjugation_factors(A, e, f, a, b)])
 
 
 def first_order_commutator_matches_bracket(
@@ -208,14 +201,12 @@ def verify_all(A: RayMatrix) -> tuple[VerificationCheck, ...]:
     group commutators with derivation brackets, and the matrix model of each
     column class."""
     ring = ring_for(A)
-    table = vars(ring)[_BATTERY_TABLE] = {}  # dropped at the end, or with the ring
+    # each root automorphism is built once, and only for this call
+    u = lru_cache(maxsize=None)(partial(root_automorphism, A, ring=ring))
     pos = [r for level in positive_roots(A) for r in level]
     a, b, identity = ring.param("a"), ring.param("b"), PolyAutomorphism.identity(ring)
-    law = {e: _sum_law(A, e, ring) for e in pos}
-    law_ok = all(law.values()) and all(
-        compose(root_automorphism(A, e, a, ring), root_automorphism(A, e, -a, ring)) == identity
-        for e in pos
-    )
+    law = {e: _sum_law(u, e, a, b) for e in pos}
+    law_ok = all(law.values()) and all(compose(u(e, a), u(e, -a)) == identity for e in pos)
     checks = [VerificationCheck("one-parameter-law", len(pos), law_ok)]
 
     # with s = -a, t = b the commutator u_f(-t) u_e(-s) u_f(t) u_e(s) is the
@@ -223,10 +214,9 @@ def verify_all(A: RayMatrix) -> tuple[VerificationCheck, ...]:
     pairs = [(e, f) for e in pos for f in pos if e.ray < f.ray]
     conjugation, first_ok = {}, True
     for e, f in pairs:
-        conjugation[e, f] = verify_conjugation(A, e, f, ring=ring)
-        word = compose(_conjugation_word(A, e, f, a, b, ring), root_automorphism(A, e, -a, ring))
-        del table[A, e, f, a, b]  # each word lives for its own pair only
-        first_ok &= _commutator_matches_bracket(A, e, f, word, -1)
+        word, rhs = _conjugation_sides(A, u, e, f, a, b)
+        conjugation[e, f] = word == rhs
+        first_ok &= _commutator_matches_bracket(A, e, f, compose(word, u(e, -a)), -1)
     checks.append(
         VerificationCheck("conjugation-identity", len(pairs), all(conjugation.values()))
     )
@@ -235,19 +225,16 @@ def verify_all(A: RayMatrix) -> tuple[VerificationCheck, ...]:
     # the matrix model reuses the automorphism sides proved above
     classes = demazure_roots(A).preorder.classes
     embed_ok = all(
-        _class_model_holds(A, cls, ring, law.__getitem__, lambda e, f: conjugation[e, f])
+        _class_model_holds(A, cls, ring, u, law.__getitem__, lambda e, f: conjugation[e, f])
         for cls in classes
     )
     checks.append(VerificationCheck("matrix-embedding", len(classes), embed_ok))
-    del vars(ring)[_BATTERY_TABLE]
     return tuple(checks)
 
 
-def _sum_law(A: RayMatrix, e: DemazureRoot, ring: PolyRing) -> bool:
+def _sum_law(u, e: DemazureRoot, a: Poly, b: Poly) -> bool:
     """``u_e(a) u_e(b) = u_e(a + b)`` as substitution automorphisms."""
-    a, b = ring.param("a"), ring.param("b")
-    u = compose(root_automorphism(A, e, a, ring), root_automorphism(A, e, b, ring))
-    return u == root_automorphism(A, e, a + b, ring)
+    return compose(u(e, a), u(e, b)) == u(e, a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +312,17 @@ def matrix_embedding_check(A: RayMatrix, cls: tuple[int, ...], ring: Optional[Po
     """
     if ring is None:
         ring = ring_for(A)
+    u = partial(root_automorphism, A, ring=ring)
+    a, b = ring.param("a"), ring.param("b")
     return _class_model_holds(
-        A, cls, ring, partial(_sum_law, A, ring=ring), partial(verify_conjugation, A, ring=ring)
+        A, cls, ring, u, lambda e: _sum_law(u, e, a, b), partial(verify_conjugation, A, ring=ring)
     )
 
 
-def _class_model_holds(A: RayMatrix, cls: tuple[int, ...], ring: PolyRing, law, conjugation):
-    """``matrix_embedding_check``, taking the automorphism side of the sum law
-    of ``e`` from ``law(e)`` and of the conjugation identity from
+def _class_model_holds(A: RayMatrix, cls: tuple[int, ...], ring: PolyRing, u, law, conjugation):
+    """``matrix_embedding_check``, building root automorphisms with
+    ``u(root, alpha)`` and taking the automorphism side of the sum law of
+    ``e`` from ``law(e)`` and of the conjugation identity from
     ``conjugation(e, f)``."""
     pos = positive_roots(A)
     l = len(cls)
@@ -359,19 +349,13 @@ def _class_model_holds(A: RayMatrix, cls: tuple[int, ...], ring: PolyRing, law, 
         for f in class_roots:
             if e.ray == f.ray and e != f:
                 # same level: both sides must commute
-                ge = root_automorphism(A, e, a, ring)
-                gf = root_automorphism(A, f, b, ring)
+                ge, gf = u(e, a), u(f, b)
                 if compose(ge, gf) != compose(gf, ge):
                     return False
                 if phi((e, a), (f, b)) != phi((f, b), (e, a)):
                     return False
             elif e.ray < f.ray:
-                d = e.coords[f.ray]
-                rhs = phi(*[
-                    (_root_obj(A, tuple(x + step * y for x, y in zip(e.coords, f.coords))),
-                     a * b**step * comb(d, step))
-                    for step in range(d + 1)
-                ])
+                rhs = phi(*_conjugation_factors(A, e, f, a, b))
                 if not conjugation(e, f) or phi((f, -b), (e, a), (f, b)) != rhs:
                     return False
     return True

@@ -67,10 +67,7 @@ class RayMatrix:
         """Check all ray-matrix invariants, naming every violation."""
         n = lattice.as_int(n)
         violations: list[str] = []
-        try:
-            rows = tuple(lattice.as_vector(r) for r in raw)
-        except TypeError:
-            raise InputError("ray matrix rows must be lists of integers", ["bad-shape"]) from None
+        rows = lattice.as_vectors(raw, "ray matrix rows")
         if n < 1:
             violations.append("bad-shape: n must be >= 1")
         if not rows:
@@ -131,7 +128,7 @@ class RayList:
     @classmethod
     def validate(cls, raw: Iterable[Iterable[int]], n: int) -> "RayList":
         n = lattice.as_int(n)
-        rays = tuple(lattice.as_vector(r) for r in raw)
+        rays = lattice.as_vectors(raw, "rays")
         violations = []
         if n < 1:
             violations.append("bad-shape: n must be >= 1")

@@ -148,10 +148,13 @@ def _close(table: RootSystem, mask: int, new: Sequence[int]) -> int:
 
 
 def _as_mask(table: RootSystem, M: RootsLike) -> int:
-    """The bitmask of ``M``: of a root set over the table's matrix by its
-    positions, of other roots by their coordinates."""
-    own = isinstance(M, RootSet) and M.matrix == table.matrix
+    """The bitmask of ``M``: of a root set by its positions, of other roots
+    by their coordinates.  A root set over another matrix raises
+    ``InputError``."""
+    own = isinstance(M, RootSet)
     if own:
+        if M.matrix != table.matrix:
+            raise InputError("the root set is over another ray matrix")
         _checked(M, table)
     digits = bytearray(b"0") * len(table.positive)  # parsed in linear time, unlike N ORs
     for r in M.positions if own else M:

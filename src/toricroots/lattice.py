@@ -26,6 +26,15 @@ def as_vector(v: Iterable[int]) -> IntVector:
     return tuple(as_int(x) for x in v)
 
 
+def as_vectors(raw: Iterable[Iterable[int]], what: str) -> tuple[IntVector, ...]:
+    """``raw`` as integer vectors; anything but a list of lists is rejected
+    as ``bad-shape``, never with a bare ``TypeError``."""
+    try:
+        return tuple(as_vector(r) for r in raw)
+    except TypeError:
+        raise InputError(f"{what} must be lists of integers", ["bad-shape"]) from None
+
+
 def rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals, by fraction-free row elimination."""
     mat = [list(map(int, v)) for v in vectors]

@@ -37,7 +37,11 @@ class SurfaceSequence:
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "SurfaceSequence":
-        c = lattice.as_vector(values)
+        try:
+            c = lattice.as_vector(values)
+        except TypeError:
+            msg = "a surface sequence must be a list of integers"
+            raise InputError(msg, ["bad-shape"]) from None
         if len(c) < 3:
             raise InputError("a surface sequence needs at least 3 entries")
         return cls(c)

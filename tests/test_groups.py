@@ -103,6 +103,16 @@ def test_rootsets_compare_by_matrix_and_positions(p123):
     assert hash(RootSet(p123, (0, 1))) == hash(RootSet(same, (0, 1)))
 
 
+def test_a_root_set_over_another_matrix_is_an_input_error(p123):
+    foreign = umax_rootset(projective_space(3))  # same m and n, other matrix
+    for use in (lambda: center(foreign, p123), lambda: is_saturated(p123, foreign),
+                lambda: saturation_closure(p123, foreign)):
+        with pytest.raises(InputError, match="over another ray matrix"):
+            use()
+    # its roots, as a list, still take the coordinate path
+    assert saturation_closure(p123, list(umax_rootset(p123).roots)) == umax_rootset(p123)
+
+
 @pytest.mark.parametrize("positions", [(1, 0), (0, 0), (-1,), (0, True), (0.0,), [0, 1], 5])
 def test_rootset_positions_must_be_increasing_non_negative_ints(p123, positions):
     with pytest.raises(InputError, match="strictly increasing non-negative ints"):

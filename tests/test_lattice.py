@@ -110,3 +110,17 @@ def test_integer_inputs_are_strict(bad):
     for case in cases:
         with pytest.raises(InputError, match="non-integer"):
             case()
+
+
+@pytest.mark.parametrize("case", [
+    lambda: validate_ray_matrix(None, 2),
+    lambda: validate_ray_matrix([1, 2], 2),
+    lambda: RayList.validate([1, 2], 2),
+    lambda: RayList.validate(None, 2),
+    lambda: SurfaceSequence.of(5),
+    lambda: SurfaceSequence.of(None),
+])
+def test_inputs_that_are_not_lists_are_bad_shape(case):
+    with pytest.raises(InputError) as err:
+        case()
+    assert err.value.violations == ("bad-shape",)
