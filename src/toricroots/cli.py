@@ -27,7 +27,6 @@ from .errors import DomainError, InputError, NotBilateralError, NotRadiantError,
 from .fan import Bilateralization, RayList, RayMatrix, bilateralize
 from .groups import AbelianPower, DirectProduct, RootGraph, Semidirect, TriangularBlock
 from .jsonout import Rows, pieces
-from .lattice import as_int
 
 SCHEMA_VERSION = 1
 
@@ -67,11 +66,14 @@ def _load_input_file(path: str) -> dict:
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, long ints
         raise InputError(f"input file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise InputError("input document must be a JSON object")
+        raise InputError("bad-document: input document must be a JSON object")
     return data
 
 
-def _document_from_args(args) -> dict:
+def _source(args) -> tuple[str, list, object]:
+    """The input's kind (``ray_matrix``, ``rays`` or ``sequence``), its raw
+    value and its ``n`` (``None`` for a sequence).  Flags are tokenized here;
+    a document's value is only picked out, and the library checks both."""
     # each command's parser defines only the sources it takes
     given = ((k, getattr(args, k, None)) for k in ("ray_matrix", "rays", "sequence", "input"))
     sources = [s for s in given if s[1] is not None]
@@ -83,40 +85,36 @@ def _document_from_args(args) -> dict:
         doc = _load_input_file(value)
         keys = {"ray_matrix", "rays", "sequence"} & set(doc)
         if len(keys) != 1:
-            raise InputError("input document needs exactly one of "
+            raise InputError("bad-document: input document needs exactly one of "
                              "'ray_matrix', 'rays', 'sequence'")
-        key = keys.pop()
-        if key == "sequence":
-            if not isinstance(doc["sequence"], list):
-                raise InputError("bad-shape: 'sequence' must be a list of integers")
-            return {"sequence": doc["sequence"]}
-        if "n" not in doc:
-            raise InputError("input document needs 'n'")
-        n = as_int(doc["n"])
-        rows = doc[key]
-        if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
-            raise InputError(f"'{key}' must be a non-empty list of integer lists")
-        if any(len(r) != n for r in rows):
-            raise InputError("'n' must equal the row width")
-        return {key: rows, "n": n}
+        kind = keys.pop()
+        if kind != "sequence" and "n" not in doc:
+            raise InputError("bad-document: input document needs 'n'")
+        if not isinstance(doc[kind], list):
+            raise InputError(f"bad-shape: {kind!r} must be a list")
+        return kind, doc[kind], doc.get("n")
     if kind == "sequence":
-        return {"sequence": _parse_ints(value, "sequence")}
-    rows = _parse_int_rows(value, kind.replace("_", " "))
+        return kind, _parse_ints(value, "sequence"), None
+    what = kind.replace("_", " ")
+    rows = _parse_int_rows(value, what)
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise InputError(f"{kind.replace('_', ' ')} rows have unequal widths")
-    return {kind: rows, "n": widths.pop()}
+        raise InputError(f"{what} rows have unequal widths")
+    return kind, rows, widths.pop()
 
 
-def _witness(doc: dict) -> Optional[Bilateralization]:
-    """Bilateral witness of a fan input (``None`` when its rays have none);
-    a ray matrix is its own witness."""
-    if "ray_matrix" in doc:
-        A = RayMatrix.validate(doc["ray_matrix"], doc["n"])
-        return Bilateralization(tuple(range(A.n)), tuple(range(A.m)), A)
-    if "rays" in doc:
-        return bilateralize(RayList.validate(doc["rays"], doc["n"]))
-    raise InputError("this command needs a ray matrix or a ray list")
+def _fan(args) -> tuple[Optional[Bilateralization], Optional[RayList]]:
+    """Bilateral witness of the fan input (``None`` when its rays have none;
+    a ray matrix is its own witness) and its ray list (``None`` for a ray
+    matrix)."""
+    kind, raw, n = _source(args)
+    if kind == "sequence":
+        raise InputError(f"wrong-input: {args.cmd} takes a ray matrix or rays, not a sequence")
+    if kind == "ray_matrix":
+        A = RayMatrix.validate(raw, n)
+        return Bilateralization(tuple(range(A.n)), tuple(range(A.m)), A), None
+    rays = RayList.validate(raw, n)
+    return bilateralize(rays), rays
 
 
 def _witness_json(witness: Bilateralization) -> dict:
@@ -129,8 +127,7 @@ def _witness_json(witness: Bilateralization) -> dict:
 def _canonical(args) -> tuple[RayMatrix, dict]:
     """Canonical ray matrix of the fan input and the fields that every fan
     command reports about it."""
-    doc = _document_from_args(args)
-    witness = _witness(doc)
+    witness, rays = _fan(args)
     if witness is None:
         raise NotBilateralError("ray set is not bilateral: the variety is not radiant")
     perm, A = roots.canonical_reorder(witness.matrix)
@@ -140,7 +137,7 @@ def _canonical(args) -> tuple[RayMatrix, dict]:
         "ray_matrix": [list(r) for r in A.rows],
         "column_permutation": [p + 1 for p in perm],
     }
-    if "rays" in doc:
+    if rays is not None:
         base["bilateralization"] = _witness_json(witness)
     return A, base
 
@@ -194,12 +191,9 @@ def _dot_lines(graph: RootGraph) -> list[str]:
 
 
 def _bilateral(args) -> tuple[int, dict]:
-    doc = _document_from_args(args)
-    if "sequence" in doc:
-        raise InputError("bilateral expects rays or a ray matrix")
-    witness = _witness(doc)
+    witness, rays = _fan(args)
     if witness is None:
-        return 0, {"bilateral": False, "n": doc["n"]}
+        return 0, {"bilateral": False, "n": rays.n}
     return 0, {
         "bilateral": True,
         **_witness_json(witness),
@@ -432,10 +426,10 @@ def _surface(args) -> tuple[int, dict]:
         raise InputError("conflicting-flags: --max-m and --max-q need --enumerate")
     if args.sequence is None and args.input is None:
         raise InputError("surface needs --sequence, --input or --enumerate")
-    doc = _document_from_args(args)
-    if "sequence" not in doc:
-        raise InputError("surface expects a sequence input")
-    seq = surfaces.SurfaceSequence.of(doc["sequence"])
+    kind, raw, _ = _source(args)
+    if kind != "sequence":
+        raise InputError("wrong-input: surface takes a sequence, not a fan")
+    seq = surfaces.SurfaceSequence.of(raw)
     head = {"sequence": list(seq.c), "m": seq.m, "picard_rank": seq.picard_rank}
     try:
         report = surfaces.surface_report(seq)  # an invalid sequence raises InputError first

@@ -167,8 +167,9 @@ def first_order_commutator_matches_bracket(
 ) -> bool:
     """The coefficient of ``s t`` on the root monomial of ``e+f`` in the group
     commutator ``u_f(t)^-1 u_e(s)^-1 u_f(t) u_e(s)`` must equal the bracket
-    coefficient of the derivations (``-d`` for ``e`` below ``f``)."""
-    if ring is None or ring.params != ("s", "t"):
+    coefficient of the derivations (``-d`` for ``e`` below ``f``).  A given
+    ``ring`` must have the parameters ``s`` and ``t``."""
+    if ring is None:
         ring = ring_for(A, params=("s", "t"))
     s, t = ring.param("s"), ring.param("t")
     word = product(

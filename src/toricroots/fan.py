@@ -54,6 +54,36 @@ from .lattice import IntVector
 MAX_FACET_NORMALS = 2_000_000
 
 
+def _raise_if(violations: list[str]) -> None:
+    if violations:
+        raise InputError("; ".join(violations), violations)
+
+
+def _checked_vectors(raw, n, noun: str) -> tuple[int, tuple[IntVector, ...], list[str]]:
+    """``n`` and the vectors of ``raw``, checked for what ray matrices and ray
+    lists share: ``n >= 1`` and at least one vector, each of length ``n``
+    (raised at once), and no vector zero, imprimitive or repeated (returned,
+    for the caller to add its own violations to).  ``noun`` names them."""
+    n = lattice.as_int(n)
+    vectors = lattice.as_vectors(raw, f"{noun}s")
+    violations = []
+    if n < 1:
+        violations.append("bad-shape: n must be >= 1")
+    if not vectors:
+        violations.append(f"bad-shape: at least one {noun} is required")
+    if any(len(v) != n for v in vectors):
+        violations.append(f"bad-shape: every {noun} must have length n")
+    _raise_if(violations)
+    for k, v in enumerate(vectors, 1):
+        if not any(v):
+            violations.append(f"zero-{noun}: {noun} {k} is zero")
+        elif math.gcd(*v) != 1:
+            violations.append(f"non-primitive-{noun}: {noun} {k} has entry gcd > 1")
+    if len(set(vectors)) != len(vectors):
+        violations.append(f"duplicate-{noun}s: {noun}s must be pairwise distinct")
+    return n, vectors, violations
+
+
 @dataclass(frozen=True)
 class RayMatrix:
     """Ray matrix of a bilateral fan: row ``k`` holds the negated coordinates
@@ -65,32 +95,12 @@ class RayMatrix:
     @classmethod
     def validate(cls, raw: Iterable[Iterable[int]], n: int) -> "RayMatrix":
         """Check all ray-matrix invariants, naming every violation."""
-        n = lattice.as_int(n)
-        violations: list[str] = []
-        rows = lattice.as_vectors(raw, "ray matrix rows")
-        if n < 1:
-            violations.append("bad-shape: n must be >= 1")
-        if not rows:
-            violations.append("bad-shape: at least one row is required")
-        if any(len(r) != n for r in rows):
-            violations.append("bad-shape: every row must have length n")
-        if violations:
-            raise InputError("; ".join(violations), violations)
-        for k, row in enumerate(rows):
-            if all(x == 0 for x in row):
-                violations.append(f"zero-row: row {k + 1} is zero")
-            else:
-                if any(x < 0 for x in row):
-                    violations.append(f"negative-entry: row {k + 1} has a negative entry")
-                if math.gcd(*(abs(x) for x in row)) != 1:
-                    violations.append(f"non-primitive-row: row {k + 1} has entry gcd > 1")
-        if len(set(rows)) != len(rows):
-            violations.append("duplicate-rows: rows must be pairwise distinct")
-        for j in range(n):
-            if all(row[j] == 0 for row in rows):
-                violations.append(f"zero-column: column {j + 1} is zero")
-        if violations:
-            raise InputError("; ".join(violations), violations)
+        n, rows, violations = _checked_vectors(raw, n, "row")
+        violations += [f"negative-entry: row {k} has a negative entry"
+                       for k, row in enumerate(rows, 1) if min(row) < 0]
+        violations += [f"zero-column: column {j + 1} is zero"
+                       for j in range(n) if not any(row[j] for row in rows)]
+        _raise_if(violations)
         return cls(n=n, rows=rows)
 
     @property
@@ -127,24 +137,8 @@ class RayList:
 
     @classmethod
     def validate(cls, raw: Iterable[Iterable[int]], n: int) -> "RayList":
-        n = lattice.as_int(n)
-        rays = lattice.as_vectors(raw, "rays")
-        violations = []
-        if n < 1:
-            violations.append("bad-shape: n must be >= 1")
-        if any(len(r) != n for r in rays):
-            violations.append("bad-shape: every ray must have length n")
-        if violations:
-            raise InputError("; ".join(violations), violations)
-        for i, r in enumerate(rays):
-            if all(x == 0 for x in r):
-                violations.append(f"zero-ray: ray {i + 1} is zero")
-            elif math.gcd(*r) != 1:
-                violations.append(f"non-primitive-ray: ray {i + 1} has entry gcd > 1")
-        if len(set(rays)) != len(rays):
-            violations.append("duplicate-rays: rays must be pairwise distinct")
-        if violations:
-            raise InputError("; ".join(violations), violations)
+        n, rays, violations = _checked_vectors(raw, n, "ray")
+        _raise_if(violations)
         return cls(n=n, rays=rays)
 
     @property

@@ -32,7 +32,7 @@ def as_vectors(raw: Iterable[Iterable[int]], what: str) -> tuple[IntVector, ...]
     try:
         return tuple(as_vector(r) for r in raw)
     except TypeError:
-        raise InputError(f"{what} must be lists of integers", ["bad-shape"]) from None
+        raise InputError(f"bad-shape: {what} must be lists of integers", ["bad-shape"]) from None
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:

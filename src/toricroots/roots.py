@@ -273,12 +273,6 @@ class ColumnPreorder:
     geq: tuple[tuple[bool, ...], ...]
     classes: tuple[tuple[int, ...], ...]
 
-    def dominates(self, i: int, j: int) -> bool:
-        return self.geq[i][j]
-
-    def equivalent(self, i: int, j: int) -> bool:
-        return self.geq[i][j] and self.geq[j][i]
-
     def strictly_dominates(self, i: int, j: int) -> bool:
         return self.geq[i][j] and not self.geq[j][i]
 

@@ -279,6 +279,15 @@ def test_surface_enumeration_cap_exits_one_without_traceback(capsys):
         (["surface", "--enumerate", "--sequence=0,2,0,-2", "--max-m", "4"], None,
          "conflicting-flags: "),
         (["surface", "--enumerate"], {"sequence": [0, 1, 0, -1]}, "conflicting-flags: "),
+        (["roots"], {"n": 2, "ray_matrix": [[], []]}, "bad-shape: every row "),
+        (["umax"], {"n": 2, "ray_matrix": [[1, 1], [1]]}, "bad-shape: every row "),
+        (["series"], {"n": 2, "ray_matrix": "1 1"}, "bad-shape: 'ray_matrix' "),
+        (["bilateral"], {"n": 2, "rays": []}, "bad-shape: at least one ray "),
+        (["bilateral"], {"sequence": [0, 1, 0, -1]}, "wrong-input: "),
+        (["center"], {"sequence": [0, 1, 0, -1]}, "wrong-input: "),
+        (["surface"], {"n": 1, "ray_matrix": [[1]]}, "wrong-input: "),
+        (["roots"], {"ray_matrix": [[1, 1]]}, "bad-document: "),
+        (["roots"], {"n": 2, "ray_matrix": [[1, 1]], "rays": [[1, 0]]}, "bad-document: "),
     ],
 )
 def test_input_faults_exit_two_with_named_violation(tmp_path, capsys, argv, doc, violation):

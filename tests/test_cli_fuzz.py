@@ -1,12 +1,13 @@
 """Fuzz test of the CLI input boundary: every ``--input`` document ends in
-exit 0, 1 or 2, with no exception escaping ``main``, and a repeated call
-prints the same bytes.  The seed is fixed, so every run tries the same
-documents."""
+exit 0, 1 or 2, with no exception escaping ``main``, every exit 2 of a fan
+command names its violation, and a repeated call prints the same bytes.
+The seed is fixed, so every run tries the same documents."""
 
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 from hypothesis import given, settings
@@ -87,4 +88,6 @@ def test_input_documents_end_in_an_exit_code(command, doc):
         code, out, err = run_main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+        if code == 2 and command != "surface":
+            assert re.match(r"error: [a-z-]+: ", err), err
         assert run_main(argv) == (code, out, err)

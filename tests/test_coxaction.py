@@ -219,6 +219,15 @@ def test_first_order_commutator_matches_bracket_on_fixtures(p123, f1p1):
                     assert first_order_commutator_matches_bracket(A, e, f)
 
 
+def test_first_order_check_keeps_the_callers_ring():
+    A = validate_ray_matrix([[3, 2, 1]], 3)
+    e, f = find(A, (0, -1, 2)), find(A, (0, 0, -1))
+    with pytest.raises(InputError, match="no parameter 's'"):
+        first_order_commutator_matches_bracket(A, e, f, ring_for(A, degree_cap=2))
+    with pytest.raises(DegreeCapError):
+        first_order_commutator_matches_bracket(A, e, f, ring_for(A, ("s", "t"), degree_cap=2))
+
+
 def test_matrix_embedding_examples(p123, f1p1):
     for n in range(1, 5):
         A = projective_space(n)

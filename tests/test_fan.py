@@ -207,3 +207,6 @@ def test_ray_list_validation_errors():
         RayList.validate([(2, 2), (1, 0)], 2)
     with pytest.raises(InputError):
         RayList.validate([(1, 0), (1, 0)], 2)
+    with pytest.raises(InputError) as err:
+        RayList.validate([], 2)  # not a degenerate ray set: no rays at all
+    assert err.value.violations == ("bad-shape: at least one ray is required",)

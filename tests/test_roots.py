@@ -100,7 +100,7 @@ def test_column_preorder_examples(p123):
     assert pre47.classes == ((0,), (1,), (2,))
 
     pre_plane = column_preorder(validate_ray_matrix([[1, 1]], 2))
-    assert pre_plane.equivalent(0, 1)
+    assert pre_plane.geq[0][1] and pre_plane.geq[1][0]
     assert pre_plane.classes == ((0, 1),)
 
 
