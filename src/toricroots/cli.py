@@ -104,9 +104,8 @@ def _source(args) -> tuple[str, list, object]:
 
 
 def _fan(args) -> tuple[Optional[Bilateralization], Optional[RayList]]:
-    """Bilateral witness of the fan input (``None`` when its rays have none;
-    a ray matrix is its own witness) and its ray list (``None`` for a ray
-    matrix)."""
+    """Bilateral witness of the fan input (``None`` when its rays have none)
+    and its ray list (``None`` for a ray matrix, which is its own witness)."""
     kind, raw, n = _source(args)
     if kind == "sequence":
         raise InputError(f"wrong-input: {args.cmd} takes a ray matrix or rays, not a sequence")
