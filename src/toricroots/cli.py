@@ -335,7 +335,7 @@ def _series_table(p: dict) -> list[str]:
 
 def _center(args) -> tuple[int, dict]:
     A, base = _canonical(args)
-    report = groups.center(groups.umax_rootset(A), A)
+    report = groups.center(groups.umax_rootset(A))
     center_roots = report.roots.roots  # a few basic roots
     return 0, {
         **base,

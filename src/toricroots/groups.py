@@ -54,8 +54,6 @@ from .roots import (
 #: Default cap on the number of subgroups emitted by the enumeration.
 MAX_ENUMERATION_RESULTS = 200_000
 
-RootsLike = Union["RootSet", Iterable[DemazureRoot]]
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -76,8 +74,11 @@ class RootSet:
     @classmethod
     def of(cls, A: RayMatrix, roots: Iterable[DemazureRoot]) -> "RootSet":
         """Raises ``InputError`` for a root that is not positive in ``A``."""
-        table = demazure_roots(A)
-        return _rootset(table, _as_mask(table, roots))
+        position = demazure_roots(A).position
+        try:
+            return _trusted(A, tuple(sorted({position[r.coords] for r in roots})))
+        except KeyError as exc:
+            raise InputError(f"element not in the positive roots: {exc.args[0]}") from None
 
     @property
     def n(self) -> int:
@@ -85,7 +86,7 @@ class RootSet:
 
     @property
     def roots(self) -> tuple[DemazureRoot, ...]:
-        positive = _checked(self, demazure_roots(self.matrix)).positive
+        positive = _table(self).positive
         return tuple([positive[k] for k in self.positions])
 
     @cached_property
@@ -96,39 +97,42 @@ class RootSet:
     def dimension(self) -> int:
         return len(self.positions)
 
-    def __contains__(self, item) -> bool:
-        coords = item.coords if isinstance(item, DemazureRoot) else tuple(item)
-        return coords in self.coords
-
-    def __iter__(self):
-        return iter(self.roots)
-
     def __len__(self) -> int:
         return len(self.positions)
 
-    def sort_key(self) -> tuple:
-        return (self.dimension, tuple(r.coords for r in self.roots))
+
+def _trusted(A: RayMatrix, positions: tuple[int, ...]) -> RootSet:
+    """Trusted constructor: ``positions`` come from a checked set or table."""
+    M = object.__new__(RootSet)
+    M.__dict__.update(matrix=A, positions=positions)
+    return M
 
 
 def umax_rootset(A: RayMatrix) -> RootSet:
     """The root set of ``U_max``: every positive root of the canonical ``A``."""
-    return RootSet(A, tuple(range(len(demazure_roots(A).positive))))
+    return _trusted(A, tuple(range(len(demazure_roots(A).positive))))
 
 
 # ---------------------------------------------------------------------------
 # closure on bitmasks over the positive roots of the root table
 
 
-def _checked(M: RootSet, table: RootSystem) -> RootSystem:
-    """``table``, the root table of ``M.matrix``; raises ``InputError`` for a
-    position of ``M`` past it."""
+def _table(M: RootSet) -> RootSystem:
+    """The root table of ``M.matrix``; raises ``InputError`` for a position
+    of ``M`` past it."""
+    table = demazure_roots(M.matrix)
     if M.positions and M.positions[-1] >= len(table.positive):
         raise InputError(f"position {M.positions[-1]} is past the positive roots")
     return table
 
 
-def _rootset(table: RootSystem, mask: int) -> RootSet:
-    return RootSet(table.matrix, tuple(_members(mask)))
+def _mask(M: RootSet) -> tuple[RootSystem, int]:
+    """The root table of ``M.matrix`` and the bitmask of ``M``'s positions."""
+    table = _table(M)
+    digits = bytearray(b"0") * len(table.positive)  # parsed in linear time, unlike N ORs
+    for k in M.positions:
+        digits[~k] = ord("1")  # bit k is the k-th digit from the right
+    return table, int(digits, 2)
 
 
 def _members(mask: int) -> list[int]:
@@ -147,49 +151,27 @@ def _close(table: RootSystem, mask: int, new: Sequence[int]) -> int:
     return mask
 
 
-def _as_mask(table: RootSystem, M: RootsLike) -> int:
-    """The bitmask of ``M``: of a root set by its positions, of other roots
-    by their coordinates.  A root set over another matrix raises
-    ``InputError``."""
-    own = isinstance(M, RootSet)
-    if own:
-        if M.matrix != table.matrix:
-            raise InputError("the root set is over another ray matrix")
-        _checked(M, table)
-    digits = bytearray(b"0") * len(table.positive)  # parsed in linear time, unlike N ORs
-    for r in M.positions if own else M:
-        k = r if own else table.position.get(r.coords)
-        if k is None:
-            raise InputError(f"element not in the positive roots: {r.coords}")
-        digits[~k] = ord("1")  # bit k is the k-th digit from the right
-    return int(digits, 2)
-
-
-def is_saturated(
-    A: RayMatrix, M: RootsLike
-) -> tuple[bool, Optional[tuple[IntVector, IntVector, IntVector]]]:
+def is_saturated(M: RootSet) -> tuple[bool, Optional[tuple[IntVector, IntVector, IntVector]]]:
     """Saturation test; on failure returns the first violating triple
     (a, b, a+b), with ``a`` and then ``b`` in sorted order."""
-    table = demazure_roots(A)
-    mask = _as_mask(table, M)
-    bad = next(((x, y, s) for x in _members(mask) for y, s in table.partners[x]
+    table, mask = _mask(M)
+    bad = next(((x, y, s) for x in M.positions for y, s in table.partners[x]
                 if y > x and mask >> y & 1 and not mask >> s & 1), None)
     return bad is None, bad and tuple(table.positive[k].coords for k in bad)
 
 
-def saturation_closure(A: RayMatrix, M: RootsLike) -> RootSet:
+def saturation_closure(M: RootSet) -> RootSet:
     """Smallest saturated superset.  Well-defined because the saturation
     condition is closure under root sums ``a + b`` with ``b`` on a strictly
     higher level, so saturated supersets intersect to a saturated set."""
-    table = demazure_roots(A)
-    mask = _as_mask(table, M)
-    return _rootset(table, _close(table, mask, _members(mask)))
+    table, mask = _mask(M)
+    return _trusted(M.matrix, tuple(_members(_close(table, mask, M.positions))))
 
 
 def has_open_orbit(M: RootSet) -> bool:
     """True iff every basic root belongs to ``M``."""
-    table = demazure_roots(M.matrix)
-    return _as_mask(table, M) & table.basics == table.basics
+    table, mask = _mask(M)
+    return mask & table.basics == table.basics
 
 
 @dataclass(frozen=True)
@@ -203,7 +185,7 @@ class EnumerationResult:
 
     @property
     def subgroups(self) -> tuple[RootSet, ...]:  # built on each read
-        return tuple([RootSet(self.matrix, t) for t in self.positions])
+        return tuple([_trusted(self.matrix, t) for t in self.positions])
 
     @property
     def count(self) -> int:
@@ -248,7 +230,7 @@ def enumerate_open_orbit_subgroups(
                     break
             else:
                 stack.append((mask, members, i))
-    # positions number the roots in sorted order: this is ``RootSet.sort_key``'s order
+    # positions number the roots in sorted order, so this sorts by (dimension, roots)
     found.sort()
     found.sort(key=len)
     hist = tuple(sorted(Counter(map(len, found)).items()))
@@ -402,20 +384,19 @@ class CenterReport:
     roots: RootSet
 
 
-def center(M: RootsLike, A: RayMatrix) -> CenterReport:
+def center(M: RootSet) -> CenterReport:
     """Center of the subgroup with root set ``M`` (open orbit required):
     the product of the basic root subgroups at indices whose pairing with
     every root of ``M`` is non-positive."""
-    table = demazure_roots(A)
-    mask = _as_mask(table, M)
+    table, mask = _mask(M)
     if mask & table.basics != table.basics:
         raise NoOpenOrbitError(
             "center formula needs an open orbit: the root set must hold every basic root"
         )
-    indices = _center_indices(A.n, [table.positive[k] for k in _members(mask)])
+    indices = _center_indices(M.n, [table.positive[k] for k in M.positions])
     basics = _members(table.basics)
-    center_roots = RootSet(A, tuple(k for k in basics if table.positive[k].ray in indices))
-    if mask == (1 << len(table.positive)) - 1:
+    center_roots = _trusted(M.matrix, tuple(k for k in basics if table.positive[k].ray in indices))
+    if len(M.positions) == len(table.positive):
         # for U_max the center indices are the smallest members of the
         # maximal column classes; verify
         pre = table.preorder
@@ -460,7 +441,7 @@ def root_graph(M: RootSet) -> RootGraph:
 def _graph(M: RootSet) -> tuple[list, list[int], list[int]]:
     """``root_graph(M)``'s arrows as sorted indices into ``M.positions``, from
     the table's sum triples inside ``M``, and ``_path_lengths``."""
-    partners = _checked(M, demazure_roots(M.matrix)).partners
+    partners = _table(M).partners
     local = {k: x for x, k in enumerate(M.positions)}
     triples = [(x, local[y], local[s]) for x, k in enumerate(M.positions)
                for y, s in partners[k] if y > k and y in local and s in local]
@@ -524,11 +505,11 @@ def series_report(M: RootSet) -> SeriesReport:
             raise InvariantViolation("derived series did not terminate")
 
     return SeriesReport(
-        lower=tuple(RootSet(A, tuple(compress(positions, [d >= k for d in longest_to])))
+        lower=tuple(_trusted(A, tuple(compress(positions, [d >= k for d in longest_to])))
                     for k in range(l + 2)),
-        upper=tuple(RootSet(A, tuple(compress(positions, [d < k for d in longest_from])))
+        upper=tuple(_trusted(A, tuple(compress(positions, [d < k for d in longest_from])))
                     for k in range(l + 2)),
-        derived=tuple(RootSet(A, tuple([positions[x] for x in sorted(t)])) for t in derived),
+        derived=tuple(_trusted(A, tuple([positions[x] for x in sorted(t)])) for t in derived),
         nilpotency_class=l + 1 if positions else 0,
         derived_length=len(derived) - 1,
         longest_path=l,

@@ -159,6 +159,11 @@ def vanishing_levels(system):
     )
 
 
+def rootset_key(M: RootSet) -> tuple:
+    """Sort key of root sets: by dimension, then by the sorted root list."""
+    return (M.dimension, tuple(r.coords for r in M.roots))
+
+
 def brute_force_open_orbit_rootsets(A):
     """All subsets of the positive roots that contain the basic roots and
     satisfy the pairwise saturation condition, as frozensets of coordinates.
@@ -200,7 +205,7 @@ def brute_force_open_orbit_rootsets(A):
             results.append(
                 RootSet.of(A, [r for i, r in enumerate(pos) if mask >> i & 1])
             )
-    return sorted(results, key=RootSet.sort_key)
+    return sorted(results, key=rootset_key)
 
 
 def level_mask_rootsets(A):
@@ -236,7 +241,7 @@ def level_mask_rootsets(A):
                 descend(i - 1, picked + [candidate], higher + list(candidate))
 
     descend(A.n - 1, [], [])
-    return sorted(results, key=RootSet.sort_key)
+    return sorted(results, key=rootset_key)
 
 
 def literal_sum_triples(A):

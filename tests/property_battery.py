@@ -203,7 +203,7 @@ def check_center_against_lie_oracle(A):
     for M in _sample_saturated_sets(A):
         table = BracketTable.build(A, M.roots)
         oracle = lie_center(M.roots, table)
-        report = center(M, A)
+        report = center(M)
         assert {r.coords for r in report.roots.roots} == {
             r.coords for r in oracle.center
         }

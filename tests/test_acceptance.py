@@ -208,7 +208,7 @@ def test_criterion_08_oracle_equivalences():
                 assert tuple(s.coords for s in rep.upper) == lie.upper
                 assert tuple(s.coords for s in rep.derived) == lie.derived
                 oracle_center = lie_center(M.roots, table)
-                formula = center(M, A)
+                formula = center(M)
                 assert {r.coords for r in formula.roots.roots} == {
                     r.coords for r in oracle_center.center
                 }

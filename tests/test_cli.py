@@ -355,4 +355,4 @@ def test_cli_root_sets_are_the_library_views(capsys, fan):
     report = series_report(umax_rootset(A))
     for term in ("lower", "upper", "derived"):
         assert series[term] == rootset_views(getattr(report, term))
-    assert [centered["center_roots"]] == rootset_views([center(umax_rootset(A), A).roots])
+    assert [centered["center_roots"]] == rootset_views([center(umax_rootset(A)).roots])

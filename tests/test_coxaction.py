@@ -29,7 +29,7 @@ from toricroots.coxaction import (
     verify_all,
     verify_conjugation,
 )
-from toricroots.groups import saturation_closure
+from toricroots.groups import RootSet, saturation_closure
 from toricroots.poly import Poly, PolyRing
 from toricroots.roots import column_preorder
 
@@ -257,7 +257,7 @@ def test_random_products_stay_root_aligned(p123):
     rng = random.Random(99)
     system = demazure_roots(p123)
     seeds = [(-1, 1, 1), (0, -1, 1), (0, 0, -1), (0, -1, 0), (-1, 0, 0)]
-    M = saturation_closure(p123, [system.find(c) for c in seeds])
+    M = saturation_closure(RootSet.of(p123, [system.find(c) for c in seeds]))
     ring = ring_for(p123)
     for _ in range(25):
         word = PolyAutomorphism.identity(ring)
