@@ -47,13 +47,13 @@ def _parse_ints(text: str, what: str) -> list[int]:
             return [int(tok) for tok in tokens]
     except ValueError:  # more digits than int() converts
         pass
-    raise InputError(f"could not parse {what}: {text!r}")
+    raise InputError(f"bad-token: could not parse {what}: {text!r}")
 
 
 def _parse_int_rows(text: str, what: str) -> list[list[int]]:
     rows = [_parse_ints(chunk.strip(), what) for chunk in text.split(";") if chunk.strip()]
     if not rows:
-        raise InputError(f"empty {what}")
+        raise InputError(f"bad-shape: empty {what}")
     return rows
 
 
@@ -62,9 +62,9 @@ def _load_input_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read input file: {exc}") from None
+        raise InputError(f"unreadable-file: cannot read input file: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, long ints
-        raise InputError(f"input file is not valid JSON: {exc}") from None
+        raise InputError(f"bad-json: input file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("bad-document: input document must be a JSON object")
     return data
@@ -78,7 +78,7 @@ def _source(args) -> tuple[str, list, object]:
     given = ((k, getattr(args, k, None)) for k in ("ray_matrix", "rays", "sequence", "input"))
     sources = [s for s in given if s[1] is not None]
     if len(sources) != 1:
-        raise InputError("exactly one input source is required "
+        raise InputError("bad-source: exactly one input source is required "
                          "(--ray-matrix, --rays, --sequence or --input)")
     kind, value = sources[0]
     if kind == "input":
@@ -99,7 +99,7 @@ def _source(args) -> tuple[str, list, object]:
     rows = _parse_int_rows(value, what)
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise InputError(f"{what} rows have unequal widths")
+        raise InputError(f"bad-shape: {what} rows have unequal widths")
     return kind, rows, widths.pop()
 
 
@@ -424,7 +424,7 @@ def _surface(args) -> tuple[int, dict]:
     if args.max_m is not None or args.max_q is not None:
         raise InputError("conflicting-flags: --max-m and --max-q need --enumerate")
     if args.sequence is None and args.input is None:
-        raise InputError("surface needs --sequence, --input or --enumerate")
+        raise InputError("bad-source: surface needs --sequence, --input or --enumerate")
     kind, raw, _ = _source(args)
     if kind != "sequence":
         raise InputError("wrong-input: surface takes a sequence, not a fan")

@@ -40,10 +40,11 @@ class SurfaceSequence:
         try:
             c = lattice.as_vector(values)
         except TypeError:
-            msg = "a surface sequence must be a list of integers"
+            msg = "bad-shape: a surface sequence must be a list of integers"
             raise InputError(msg, ["bad-shape"]) from None
         if len(c) < 3:
-            raise InputError("a surface sequence needs at least 3 entries")
+            raise InputError("short-sequence: a surface sequence needs at least 3 entries",
+                             ["short-sequence"])
         return cls(c)
 
     @property
@@ -72,10 +73,11 @@ def sequence_to_rays(seq: SurfaceSequence) -> RayList:
         c = seq.c[s % m]  # c_{s+1} with 1-based cyclic indexing
         rays.append((c * p_cur[0] - p_prev[0], c * p_cur[1] - p_prev[1]))
     if rays[m] != rays[0] or rays[m + 1] != rays[1]:
-        raise InputError(f"sequence does not close up: got {rays[m]}, {rays[m + 1]}")
+        raise InputError(f"not-closed: sequence does not close up: got {rays[m]}, {rays[m + 1]}",
+                         ["not-closed"])
     rays = rays[:m]
     if len(set(rays)) != m:
-        raise InputError("sequence produces duplicate rays")
+        raise InputError("duplicate-rays: sequence produces duplicate rays", ["duplicate-rays"])
     for u, v in zip(rays, rays[1:] + rays[:1]):
         if u[0] * v[1] - u[1] * v[0] != 1:
             raise InvariantViolation("consecutive rays are not a positive basis")
@@ -83,7 +85,8 @@ def sequence_to_rays(seq: SurfaceSequence) -> RayList:
         1 for u, v in zip(rays, rays[1:] + rays[:1]) if not angle_less(u, v)
     )
     if descents != 1:
-        raise InputError(f"rays wind {descents} times around the origin, expected 1")
+        raise InputError(f"bad-winding: rays wind {descents} times around the origin, expected 1",
+                         ["bad-winding"])
     return RayList(2, tuple(rays))  # distinct int rays, primitive by the determinants
 
 
@@ -99,7 +102,7 @@ def blow_up(seq: SurfaceSequence, s: int) -> SurfaceSequence:
     c = list(seq.c)
     m = len(c)
     if not 0 <= s < m:
-        raise InputError(f"position {s} out of range")
+        raise InputError(f"bad-position: position {s} out of range", ["bad-position"])
     t = (s + 1) % m
     c[s] += 1
     c[t] += 1
@@ -128,7 +131,7 @@ def enumerate_smooth_surfaces(max_m: int, max_q: Optional[int] = None) -> tuple[
     any seed is built when the seeds alone are too many.
     """
     if max_m < 3:
-        raise InputError("max_m must be at least 3")
+        raise InputError("bad-max-m: max_m must be at least 3", ["bad-max-m"])
     if max_q is None:
         max_q = max_m
     if 1 + (max_q + 1 if max_m >= 4 else 0) > MAX_SURFACE_SEQUENCES:

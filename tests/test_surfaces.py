@@ -53,13 +53,14 @@ def test_sequence_to_rays_builds_what_validation_accepts():
 
 
 def test_sequence_that_does_not_close():
-    with pytest.raises(InputError, match="close"):
+    with pytest.raises(InputError, match="^not-closed: ") as err:
         sequence_to_rays(seq(0, 0, 0))
+    assert err.value.violations == ("not-closed",)
 
 
 def test_sequence_with_bad_winding():
-    # closes up after two turns: not a fan boundary
-    with pytest.raises(InputError):
+    # closes up after two turns through each ray of the hexagon: not a fan boundary
+    with pytest.raises(InputError, match="^duplicate-rays: "):
         sequence_to_rays(seq(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
 
 
