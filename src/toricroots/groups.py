@@ -76,9 +76,10 @@ class RootSet:
         """Raises ``InputError`` for a root that is not positive in ``A``."""
         position = demazure_roots(A).position
         try:
-            return _trusted(A, tuple(sorted({position[r.coords] for r in roots})))
+            found = {position[r.coords] for r in roots}
         except KeyError as exc:
             raise InputError(f"element not in the positive roots: {exc.args[0]}") from None
+        return _trusted(A, tuple(sorted(found)))
 
     @property
     def n(self) -> int:
