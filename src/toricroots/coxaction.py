@@ -276,7 +276,6 @@ def class_embedding_positions(
         return j if j in in_class else None
 
     leading = [r for r in pos[c] if elementary_target(r) is None]
-    leading.sort()
     if len(leading) != k - l:
         raise InvariantViolation("unexpected count of non-elementary roots in class")
     column_of = {r.coords: l + 1 + idx for idx, r in enumerate(leading)}

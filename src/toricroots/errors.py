@@ -9,16 +9,21 @@ should be unreachable on valid input.
 
 from __future__ import annotations
 
+import re
+
 
 class ToricError(Exception):
     """Base class for every error raised by this package."""
 
 
 class InputError(ToricError):
-    """Malformed input; ``violations`` names each broken invariant."""
+    """Malformed input; ``violations`` names each broken invariant, by
+    default the message's leading ``name:`` prefix (none without one)."""
 
-    def __init__(self, message: str, violations=()):
+    def __init__(self, message: str, violations=None):
         super().__init__(message)
+        if violations is None:
+            violations = re.findall(r"\A([a-z0-9-]+): ", message)
         self.violations = tuple(violations)
 
 

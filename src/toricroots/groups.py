@@ -17,10 +17,14 @@ subgroup as an iterated semidirect product of triangular blocks, and derives
 centers, central series, derived series, nilpotency class and derived length
 from a directed graph on the roots, read off the same sum triples as
 ``_close``: an arrow ``a -> a+e`` whenever ``a``, ``e`` and ``a+e`` all lie
-in ``M``.  The graph is acyclic; the k-th lower central term is spanned
-by the roots reached by paths of length ``k``, the k-th upper central term
-by the roots from which every path is shorter than ``k``, and passing from
-a root set to the arrow targets computes derived subgroups.
+in ``M``.  A sum ``s = x + y`` with ``y`` on the higher level ``j`` agrees
+with ``x`` below ``j`` and has ``s_j = x_j - 1``, and it is ``-1`` on the
+level of ``x``, where ``y`` is ``0``: a sum sorts below both summands.  So
+every arrow points down the table, and position order is a topological
+order of the graph.  The k-th lower central term is spanned by the roots
+reached by paths of length ``k``, the k-th upper central term by the roots
+from which every path is shorter than ``k``, and passing from a root set to
+the arrow targets computes derived subgroups.
 """
 
 from __future__ import annotations
@@ -96,9 +100,6 @@ class RootSet:
 
     @property
     def dimension(self) -> int:
-        return len(self.positions)
-
-    def __len__(self) -> int:
         return len(self.positions)
 
 
@@ -201,12 +202,12 @@ def enumerate_open_orbit_subgroups(
     Listed by reverse search (Avis and Fukuda 1996) from the set of basic
     roots, which is saturated: two basic roots never sum to a root.  The
     parent of any other such set drops its highest non-basic root ``h`` and
-    stays saturated, since a sum ``x + y = s`` (``y`` on the higher level)
-    sorts below ``y``, and below ``x`` too when ``y`` is basic; so ``s = h``
-    needs a non-basic summand above ``h``.  A child adds a non-basic root
-    ``j`` above its parent's and is kept when no partner of ``j`` in the
-    parent has its sum outside it: at most one such scan per positive root
-    for each set listed.  Children are visited by decreasing ``j``, which is
+    stays saturated, since a sum sorts below both summands (see the module
+    docstring): ``s = h`` needs two summands above ``h``, and two basic
+    roots never sum to a root.  A child adds a non-basic root ``j`` above
+    its parent's and is kept when no partner of ``j`` in the parent has its
+    sum outside it: at most one such scan per positive root for each set
+    listed.  Children are visited by decreasing ``j``, which is
     lectic (NextClosure) order.  Output is sorted by (dimension, root list);
     finding more than ``max_results`` raises ``ResultCapError`` carrying the
     first ``max_results`` sets in lectic order, sorted the same way.
@@ -434,47 +435,23 @@ class RootGraph:
 def root_graph(M: RootSet) -> RootGraph:
     """Directed graph on ``M.roots``: arrows ``x -> s`` labelled ``y`` and
     ``y -> s`` labelled ``x`` per sum triple of ``M``, in (source, target)
-    coordinate order; asserts acyclicity."""
-    roots, edges = M.roots, _graph(M)[0]
+    coordinate order; checks that every arrow points down the table."""
+    roots, edges = M.roots, _graph(M)
     return RootGraph(roots, tuple(Arrow(roots[a], roots[t], roots[e]) for a, t, e in edges))
 
 
-def _graph(M: RootSet) -> tuple[list, list[int], list[int]]:
+def _graph(M: RootSet) -> list[tuple[int, int, int]]:
     """``root_graph(M)``'s arrows as sorted indices into ``M.positions``, from
-    the table's sum triples inside ``M``, and ``_path_lengths``."""
+    the table's sum triples inside ``M``; raises ``InvariantViolation`` for an
+    arrow whose target is not below its source."""
     partners = _table(M).partners
     local = {k: x for x, k in enumerate(M.positions)}
     triples = [(x, local[y], local[s]) for x, k in enumerate(M.positions)
                for y, s in partners[k] if y > k and y in local and s in local]
     edges = sorted(e for x, y, s in triples for e in ((x, s, y), (y, s, x)))
-    return (edges, *_path_lengths(len(M.positions), edges))
-
-
-def _path_lengths(size: int, edges: list) -> tuple[list[int], list[int]]:
-    """Longest path ending at and starting from each vertex, given arrows
-    as positions (source, target, label), from one topological order over
-    adjacency lists; raises on a cycle."""
-    succ: list[list[int]] = [[] for _ in range(size)]
-    indeg = [0] * size
-    for a, t, _ in edges:
-        succ[a].append(t)
-        indeg[t] += 1
-    order = [v for v, d in enumerate(indeg) if d == 0]
-    for v in order:  # grows while it is read: Kahn's algorithm
-        for t in succ[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                order.append(t)
-    if len(order) != len(indeg):
-        raise InvariantViolation("root graph has a cycle")
-    longest_to = [0] * len(order)
-    longest_from = [0] * len(order)
-    for v in order:
-        for t in succ[v]:
-            longest_to[t] = max(longest_to[t], longest_to[v] + 1)
-    for v in reversed(order):
-        longest_from[v] = max((longest_from[t] + 1 for t in succ[v]), default=0)
-    return longest_to, longest_from
+    if any(t >= a for a, t, _ in edges):
+        raise InvariantViolation("root graph has an arrow up the table")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -496,7 +473,13 @@ def series_report(M: RootSet) -> SeriesReport:
     k-th upper term the roots starting no path of length ``k``; the derived
     series passes to the arrow targets of the graph induced on each term.
     """
-    edges, longest_to, longest_from = _graph(M)
+    edges = _graph(M)
+    longest_to = [0] * len(M.positions)  # longest path ending at each root
+    for a, t, _ in reversed(edges):  # by falling source: a's own value is final
+        longest_to[t] = max(longest_to[t], longest_to[a] + 1)
+    longest_from = [0] * len(M.positions)  # longest path starting at each root
+    for a, t, _ in edges:  # by rising source: t's own value is final
+        longest_from[a] = max(longest_from[a], longest_from[t] + 1)
     l = max(longest_to, default=0)
     A, positions = M.matrix, M.positions
     derived = [set(range(len(positions)))]  # indices into ``positions``

@@ -19,7 +19,7 @@ def as_int(x) -> int:
     never coerced."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise InputError(f"non-integer: {x!r} is not an integer", ["non-integer"])
+    raise InputError(f"non-integer: {x!r} is not an integer")
 
 
 def as_vector(v: Iterable[int]) -> IntVector:
@@ -32,7 +32,7 @@ def as_vectors(raw: Iterable[Iterable[int]], what: str) -> tuple[IntVector, ...]
     try:
         return tuple(as_vector(r) for r in raw)
     except TypeError:
-        raise InputError(f"bad-shape: {what} must be lists of integers", ["bad-shape"]) from None
+        raise InputError(f"bad-shape: {what} must be lists of integers") from None
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:

@@ -40,11 +40,9 @@ class SurfaceSequence:
         try:
             c = lattice.as_vector(values)
         except TypeError:
-            msg = "bad-shape: a surface sequence must be a list of integers"
-            raise InputError(msg, ["bad-shape"]) from None
+            raise InputError("bad-shape: a surface sequence must be a list of integers") from None
         if len(c) < 3:
-            raise InputError("short-sequence: a surface sequence needs at least 3 entries",
-                             ["short-sequence"])
+            raise InputError("short-sequence: a surface sequence needs at least 3 entries")
         return cls(c)
 
     @property
@@ -73,11 +71,10 @@ def sequence_to_rays(seq: SurfaceSequence) -> RayList:
         c = seq.c[s % m]  # c_{s+1} with 1-based cyclic indexing
         rays.append((c * p_cur[0] - p_prev[0], c * p_cur[1] - p_prev[1]))
     if rays[m] != rays[0] or rays[m + 1] != rays[1]:
-        raise InputError(f"not-closed: sequence does not close up: got {rays[m]}, {rays[m + 1]}",
-                         ["not-closed"])
+        raise InputError(f"not-closed: sequence does not close up: got {rays[m]}, {rays[m + 1]}")
     rays = rays[:m]
     if len(set(rays)) != m:
-        raise InputError("duplicate-rays: sequence produces duplicate rays", ["duplicate-rays"])
+        raise InputError("duplicate-rays: sequence produces duplicate rays")
     for u, v in zip(rays, rays[1:] + rays[:1]):
         if u[0] * v[1] - u[1] * v[0] != 1:
             raise InvariantViolation("consecutive rays are not a positive basis")
@@ -85,8 +82,7 @@ def sequence_to_rays(seq: SurfaceSequence) -> RayList:
         1 for u, v in zip(rays, rays[1:] + rays[:1]) if not angle_less(u, v)
     )
     if descents != 1:
-        raise InputError(f"bad-winding: rays wind {descents} times around the origin, expected 1",
-                         ["bad-winding"])
+        raise InputError(f"bad-winding: rays wind {descents} times around the origin, expected 1")
     return RayList(2, tuple(rays))  # distinct int rays, primitive by the determinants
 
 
@@ -102,7 +98,7 @@ def blow_up(seq: SurfaceSequence, s: int) -> SurfaceSequence:
     c = list(seq.c)
     m = len(c)
     if not 0 <= s < m:
-        raise InputError(f"bad-position: position {s} out of range", ["bad-position"])
+        raise InputError(f"bad-position: position {s} out of range")
     t = (s + 1) % m
     c[s] += 1
     c[t] += 1
@@ -131,7 +127,7 @@ def enumerate_smooth_surfaces(max_m: int, max_q: Optional[int] = None) -> tuple[
     any seed is built when the seeds alone are too many.
     """
     if max_m < 3:
-        raise InputError("bad-max-m: max_m must be at least 3", ["bad-max-m"])
+        raise InputError("bad-max-m: max_m must be at least 3")
     if max_q is None:
         max_q = max_m
     if 1 + (max_q + 1 if max_m >= 4 else 0) > MAX_SURFACE_SEQUENCES:

@@ -4,9 +4,12 @@
 work counts off their results, and ``perfbench/run.py`` loads the subgroup
 oracle from ``tests/oracles.py``.  A rename in the program would otherwise
 show up only as a failed ``--trace 1`` run.  Nothing here installs the trace.
+The benchmark's own output checks must also pass the program's real output.
 """
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,11 @@ def test_the_benchmark_oracle_loads_from_the_checkout(perfbench):
     subgroups = oracle([[3, 2, 1]])
     assert len(subgroups) == 27 and len(set(subgroups)) == 27
     assert all(isinstance(s, frozenset) for s in subgroups)
+
+
+def test_the_benchmark_self_test_passes():
+    """``perfbench/selftest.py`` runs each workload's checker on real output;
+    a program change those checks reject fails here, not only in a run."""
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

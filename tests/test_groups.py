@@ -24,6 +24,7 @@ from toricroots import (
     validate_ray_matrix,
     variety_type,
 )
+from toricroots.errors import InvariantViolation
 from toricroots.groups import (
     AbelianPower,
     DirectProduct,
@@ -82,17 +83,13 @@ def test_saturation_weighted_projective_witness(p123):
     assert witness == ((-1, 1, 0), (0, -1, 1), (-1, 0, 1))
 
 
-def test_saturation_rejects_foreign_elements(p123):
-    with pytest.raises(InputError, match="not in the positive roots"):
-        is_saturated(rootset(p123, [(0, 0, 1)]))
-
-
 def test_rootset_of_rejects_a_detached_root(p123):
     # the unit column 3 of [[3, 2, 1]] makes q3 a root on the fourth ray
     detached = [r for r in demazure_roots(p123).roots if r.kind == "detached"]
     assert [r.coords for r in detached] == [(0, 0, 1)]
-    with pytest.raises(InputError, match="not in the positive roots"):
+    with pytest.raises(InputError, match="not in the positive roots") as err:
         RootSet.of(p123, detached)
+    assert err.value.violations == ()  # the message has no leading name
 
 
 def test_rootsets_compare_by_matrix_and_positions(p123):
@@ -453,9 +450,24 @@ def test_root_graph_matches_the_all_pairs_oracle():
         for M in (umax_rootset(A),) + subgroups:
             got, want = root_graph(M), all_pairs_root_graph(M)
             assert got.vertices == want.vertices
+            assert all(a.target < a.source for a in got.arrows)  # a sum sorts below
             assert [(a.source.coords, a.target.coords, a.label.coords) for a in got.arrows] == [
                 (a.source.coords, a.target.coords, a.label.coords) for a in want.arrows
             ], (A.rows, M.dimension)
+
+
+def test_an_arrow_up_the_table_is_an_invariant_violation(p123, monkeypatch):
+    """The series read position order as the graph's topological order, so
+    a sum planted above its summands must be caught, not read."""
+    table = demazure_roots(p123)
+    planted = (((1, 2),),) + ((),) * (len(table.positive) - 1)  # roots 0 + 1 = root 2
+    monkeypatch.setitem(vars(table), "partners", planted)
+    try:
+        for build in (root_graph, series_report):
+            with pytest.raises(InvariantViolation, match="arrow up the table"):
+                build(umax_rootset(p123))
+    finally:
+        demazure_roots.cache_clear()
 
 
 def test_series_weighted_projective(p123):
@@ -480,7 +492,7 @@ def test_series_terms_are_root_sets_over_the_matrix_of_the_set(p123):
     # a proper subgroup, so the terms' positions are positions in the root
     # table, not indices into the set
     M = rootset(p123, [(-1, 0, 0), (-1, 0, 1), (-1, 1, 0), (0, -1, 0), (0, -1, 1), (0, 0, -1)])
-    assert is_saturated(M)[0] and M.dimension < len(positive_rootset(p123))
+    assert is_saturated(M)[0] and M.dimension < positive_rootset(p123).dimension
     report = series_report(M)
     assert report.lower[1].dimension > 0
     for term in report.lower + report.upper + report.derived:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from toricroots import InputError, RayList, SurfaceSequence, validate_ray_matrix
+from toricroots.cli import _parse_int_rows
 from toricroots.lattice import rank
 
 from oracles import coords_in_basis, det, is_unimodular_basis
@@ -119,6 +120,7 @@ def test_integer_inputs_are_strict(bad):
     lambda: RayList.validate(None, 2),
     lambda: SurfaceSequence.of(5),
     lambda: SurfaceSequence.of(None),
+    lambda: _parse_int_rows(" ; ", "ray matrix"),  # a CLI message, named by its prefix
 ])
 def test_inputs_that_are_not_lists_are_bad_shape(case):
     with pytest.raises(InputError) as err:
