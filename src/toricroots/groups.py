@@ -473,15 +473,14 @@ def series_report(M: RootSet) -> SeriesReport:
     k-th upper term the roots starting no path of length ``k``; the derived
     series passes to the arrow targets of the graph induced on each term.
     """
-    edges = _graph(M)
-    longest_to = [0] * len(M.positions)  # longest path ending at each root
+    A, positions, edges = M.matrix, M.positions, _graph(M)
+    longest_to = [0] * len(positions)  # longest path ending at each root
     for a, t, _ in reversed(edges):  # by falling source: a's own value is final
         longest_to[t] = max(longest_to[t], longest_to[a] + 1)
-    longest_from = [0] * len(M.positions)  # longest path starting at each root
+    longest_from = [0] * len(positions)  # longest path starting at each root
     for a, t, _ in edges:  # by rising source: t's own value is final
         longest_from[a] = max(longest_from[a], longest_from[t] + 1)
     l = max(longest_to, default=0)
-    A, positions = M.matrix, M.positions
     derived = [set(range(len(positions)))]  # indices into ``positions``
     while last := derived[-1]:
         derived.append({t for a, t, e in edges if a in last and t in last and e in last})
