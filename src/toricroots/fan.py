@@ -21,14 +21,15 @@ a basis ``B`` is ``<w_j, r> / <w_j, b_j>`` for the facet ``F_j = B - {b_j}``
 (Cramer's rule), so ``B`` is a bilateral witness exactly when, for every
 ``j``, ``b_j`` is the only ray strictly on its side of ``span(F_j)``,
 ``|<w_j, b_j>| = 1`` (unimodularity) and some ray lies strictly on the other
-side (no zero column).  ``bilateralize`` scans the ``(n-1)``-subsets in
-lexicographic order, keeping the fraction-free elimination of each prefix
-and reducing only the new row, completes each by its lone rays of larger
-index and checks the other facets of the candidate; the first basis that
-passes is the lexicographically first witness.  Each facet is checked at
-most once, so the work is ``C(m, n-1)`` facets at most (against ``C(m, n)``
-bases), each scan of the rays stopping once neither side can hold a lone
-ray; ``MAX_FACET_NORMALS`` caps the facets checked.
+side (no zero column).  ``bilateralize`` first checks that the rays span
+(``lattice.rank``), then scans the ``(n-1)``-subsets in lexicographic order,
+keeping each prefix's elimination by that same fraction-free step
+(``lattice.eliminate``) and reducing only the new row, completes each by its
+lone rays of larger index and checks the other facets of the candidate; the
+first basis that passes is the lexicographically first witness.  Each facet
+is checked at most once, so the work is ``C(m, n-1)`` facets at most (against
+``C(m, n)`` bases), each scan stopping once neither side can hold a lone ray;
+``MAX_FACET_NORMALS`` caps the facets checked.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ MAX_FACET_NORMALS = 2_000_000
 
 def _raise_if(violations: list[str]) -> None:
     if violations:
-        raise InputError("; ".join(violations), violations)
+        raise InputError("; ".join(violations), [v.split(":")[0] for v in violations])
 
 
 def _checked_vectors(raw, n, noun: str) -> tuple[int, tuple[IntVector, ...], list[str]]:
@@ -190,29 +191,6 @@ def _check_planar_completeness(rays: tuple[IntVector, ...]) -> None:
             )
 
 
-def _eliminate(state, row: IntVector):
-    """One fraction-free (Bareiss) elimination step with column pivoting.
-
-    ``state`` holds, for each column not pivoted yet, the linear form that
-    gives a row's entry there after the steps so far, and the last pivot.
-    The step pivots ``row`` on its first such column with a nonzero entry;
-    ``None`` stands for linearly dependent rows.  After the ``n - 1`` rows of
-    a facet one form ``w`` is left, and ``<w, r> = +-det(rows + [r])``
-    (Sylvester's identity makes every division exact)."""
-    if state is None:
-        return None
-    forms, prev = state
-    values = [sum(map(mul, f, row)) for f in forms]
-    k = next((i for i, v in enumerate(values) if v), None)
-    if k is None:
-        return None
-    pivot, pivot_form = values[k], forms[k]
-    return [
-        tuple((x * pivot - y * v) // prev for x, y in zip(f, pivot_form))
-        for i, (f, v) in enumerate(zip(forms, values)) if i != k
-    ], pivot
-
-
 def _lone_rays(w: IntVector, rays: tuple[IntVector, ...]) -> tuple[int, ...]:
     """Indices of the rays that lie alone strictly on their side of
     ``<w, .> = 0``, pair with ``w`` to +-1 and have a ray strictly on the
@@ -234,14 +212,12 @@ def _lone_rays(w: IntVector, rays: tuple[IntVector, ...]) -> tuple[int, ...]:
 def _witness_basis(rays: tuple[IntVector, ...], n: int, max_normals: int):
     """The lexicographically first bilateral basis (sorted indices) and the
     normal of each facet ``basis - {basis[j]}``, or ``None``."""
-    checked = 0
+    checked, start = 0, lattice.start(n)  # facets checked; the state before any row
     ahead: dict[tuple[int, ...], tuple] = {}  # facets checked before the scan reaches them
 
     @functools.lru_cache(maxsize=64)  # the scan walks the prefixes depth first
     def reduced(prefix):
-        if not prefix:
-            return [tuple(int(i == j) for j in range(n)) for i in range(n)], 1
-        return _eliminate(reduced(prefix[:-1]), rays[prefix[-1]])
+        return lattice.eliminate(reduced(prefix[:-1]), rays[prefix[-1]]) if prefix else start
 
     def check(facet):
         nonlocal checked
@@ -250,7 +226,7 @@ def _witness_basis(rays: tuple[IntVector, ...], n: int, max_normals: int):
             raise CapExceededError(
                 f"facet search cap exceeded: more than {max_normals} facets checked"
             )
-        state = _eliminate(reduced(facet[:-1]), rays[facet[-1]]) if facet else reduced(())
+        state = lattice.eliminate(reduced(facet[:-1]), rays[facet[-1]]) if facet else start
         if state is None:  # the facet's rays are dependent: no ray pairs to +-1
             return None, ()
         w = state[0][0]

@@ -1,12 +1,13 @@
-"""Exact integer arithmetic on lattice vectors.
-
-Everything here works on tuples of Python ints, so rank computations are
-exact for arbitrarily large entries.  All functions are pure; there is no
-floating point anywhere in the package.
+"""Exact integer arithmetic on lattice vectors: strict integers and one
+fraction-free (Bareiss) elimination step, ``eliminate``, whose pivots give
+``rank`` and whose last form gives each facet normal of ``fan``'s search.
+Everything works on tuples of Python ints, so it is exact for arbitrarily
+large entries; there is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -35,24 +36,38 @@ def as_vectors(raw: Iterable[Iterable[int]], what: str) -> tuple[IntVector, ...]
         raise InputError(f"bad-shape: {what} must be lists of integers") from None
 
 
+def start(n: int):
+    """The elimination state before any row: the ``n`` coordinate forms and pivot 1."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)], 1
+
+
+def eliminate(state, row: IntVector):
+    """One fraction-free (Bareiss) elimination step with column pivoting.
+
+    ``state`` holds, for each column not pivoted yet, the linear form that
+    gives a row's entry there after the steps so far, and the last pivot.
+    The step pivots ``row`` on its first such column with a nonzero entry;
+    ``None`` stands for linearly dependent rows.  After the ``n - 1`` rows of
+    a facet one form ``w`` is left, and ``<w, r> = +-det(rows + [r])``
+    (Sylvester's identity makes every division exact)."""
+    if state is None:
+        return None
+    forms, prev = state
+    values = [sum(map(mul, f, row)) for f in forms]
+    k = next((i for i, v in enumerate(values) if v), None)
+    if k is None:
+        return None
+    pivot, pivot_form = values[k], forms[k]
+    return [
+        tuple((x * pivot - y * v) // prev for x, y in zip(f, pivot_form))
+        for i, (f, v) in enumerate(zip(forms, values)) if i != k
+    ], pivot
+
+
 def rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by fraction-free row elimination."""
-    mat = [list(map(int, v)) for v in vectors]
-    if not mat:
-        return 0
-    width = len(mat[0])
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        p = mat[r][col]
-        for i in range(r + 1, len(mat)):
-            if mat[i][col] != 0:
-                q = mat[i][col]
-                mat[i] = [x * p - y * q for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
+    """Rank over the rationals: the number of the vectors that ``eliminate`` pivots on."""
+    r, state = 0, start(len(vectors[0]) if vectors else 0)
+    for v in vectors:
+        if (after := eliminate(state, v)) is not None:
+            r, state = r + 1, after
     return r

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from toricroots import series_report, validate_ray_matrix
 from toricroots.cli import main
 from toricroots.errors import InvariantViolation
 from toricroots.groups import umax_rootset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -144,6 +150,16 @@ def test_umax_center_split_type(capsys):
     assert code == 1 and "Type I" in err
 
 
+def test_umax_partial_triangular_block(capsys):
+    code, payload = run_json(capsys, "umax", "--ray-matrix", "3 3 1")
+    assert code == 0
+    assert payload["shape_display"] == "G_a ⋉ U_{6,2}"
+    assert payload["block_sizes"] == [[6, 2], [2, 1]]
+    assert payload["shape"]["factors"][1] == {"kind": "triangular_block", "k": 6, "l": 2}
+    code, out, err = run(capsys, "umax", "--ray-matrix", "3 3 1", "--format", "table")
+    assert (code, err) == (0, "") and out.startswith("U_max = G_a ⋉ U_{6,2}\n")
+
+
 def test_verify_command(capsys):
     code, payload = run_json(capsys, "verify", "--ray-matrix", "1 1")
     assert code == 0 and payload["ok"] is True
@@ -192,21 +208,31 @@ def test_malformed_inputs_exit_two(capsys):
         assert err.startswith("error:")
 
 
+BAD_JSON = "bad-json: input file is not valid JSON: "
+UNREADABLE = "unreadable-file: cannot read input file: "
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content, violation",
     [
-        b'{"n": 1, "ray_matrix": [[1]], "note": "\xff"}',
-        b'{"n": 1, "ray_matrix": [[1]], "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-        b'{"n": 1, "ray_matrix": [[' + b"1" * 5000 + b"]]}",
+        (b'{"n": 1, "ray_matrix": [[1]], "note": "\xff"}', BAD_JSON),
+        (b'{"n": 1, "ray_matrix": [[1]], "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         BAD_JSON),
+        (b'{"n": 1, "ray_matrix": [[' + b"1" * 5000 + b"]]}", BAD_JSON),
+        (None, UNREADABLE),  # nothing at the path
+        ("directory", UNREADABLE),
     ],
-    ids=["not-utf8", "deep-nesting", "huge-int-literal"],
+    ids=["not-utf8", "deep-nesting", "huge-int-literal", "missing", "directory"],
 )
-def test_unreadable_input_files_exit_two(tmp_path, capsys, content):
+def test_unreadable_input_files_exit_two(tmp_path, capsys, content, violation):
     path = tmp_path / "doc.json"
-    path.write_bytes(content)
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
     code, out, err = run(capsys, "roots", "--input", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: bad-json: input file is not valid JSON: ") and err.count("\n") == 1
+    assert err.startswith("error: " + violation) and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -288,6 +314,7 @@ def test_surface_enumeration_cap_exits_one_without_traceback(capsys):
         (["surface"], {"n": 1, "ray_matrix": [[1]]}, "wrong-input: "),
         (["roots"], {"ray_matrix": [[1, 1]]}, "bad-document: "),
         (["roots"], {"n": 2, "ray_matrix": [[1, 1]], "rays": [[1, 0]]}, "bad-document: "),
+        (["roots"], [1, 2], "bad-document: input document must be a JSON object"),
     ],
 )
 def test_input_faults_exit_two_with_named_violation(tmp_path, capsys, argv, doc, violation):
@@ -356,3 +383,15 @@ def test_cli_root_sets_are_the_library_views(capsys, fan):
     for term in ("lower", "upper", "derived"):
         assert series[term] == rootset_views(getattr(report, term))
     assert [centered["center_roots"]] == rootset_views([center(umax_rootset(A)).roots])
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--ray-matrix", "3 2 1"],
+    ["roots", "--ray-matrix", "3 2 1", "--format", "table"],  # ASCII only
+    ["roots", "--ray-matrix", "1 0; 0 -1"],  # exit 2
+])
+def test_module_entry_point_matches_main(capsys, argv):
+    done = subprocess.run([sys.executable, "-m", "toricroots.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert (done.returncode, done.stdout.decode("ascii"), done.stderr.decode("ascii")) == run(
+        capsys, *argv)

@@ -56,6 +56,11 @@ def test_validate_names_each_violation():
         validate_ray_matrix([[1], [1, 2]], 1)
     assert any(v.startswith("bad-shape") for v in err.value.violations)
 
+    # each violation is named by its name alone, in the order found
+    with pytest.raises(InputError) as err:
+        validate_ray_matrix([[0, -1]], 2)
+    assert err.value.violations == ("negative-entry", "zero-column")
+
 
 def test_bilateralize_projective_plane():
     rl = RayList.validate([(1, 0), (0, 1), (-1, -1)], 2)
@@ -209,4 +214,4 @@ def test_ray_list_validation_errors():
         RayList.validate([(1, 0), (1, 0)], 2)
     with pytest.raises(InputError) as err:
         RayList.validate([], 2)  # not a degenerate ray set: no rays at all
-    assert err.value.violations == ("bad-shape: at least one ray is required",)
+    assert err.value.violations == ("bad-shape",)

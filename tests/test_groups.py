@@ -332,6 +332,22 @@ def test_umax_shapes(p123, f1p1):
     assert report2.per_ray_shape == report2.shape
 
 
+def test_umax_shape_with_a_partial_triangular_block():
+    # U_{k,l} with 1 < l < k - 1: the column class {1, 2} of "3 3 1"
+    A = validate_ray_matrix([[3, 3, 1]], 3)
+    report = umax_shape(A)
+    assert report.classes == ((0, 1), (2,))
+    assert report.block_sizes == ((6, 2), (2, 1))
+    assert report.shape == Semidirect((AbelianPower(1), TriangularBlock(6, 2)))
+    assert report.shape.display() == "G_a ⋉ U_{6,2}"
+    # the block's dimension, l(2k - l - 1)/2 entries above the diagonal in its
+    # first l rows, is the number of positive roots on the class's two levels
+    k, l = report.block_sizes[0]
+    pos = positive_roots(A)
+    assert [len(pos[i]) for i in report.classes[0]] == [5, 4]
+    assert l * (2 * k - l - 1) // 2 == 5 + 4
+
+
 def test_uss_shapes(p123, f1p1):
     for n in range(2, 7):
         assert uss_shape(projective_space(n)).shape == block(n + 1, n)

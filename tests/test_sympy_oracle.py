@@ -2,6 +2,7 @@
 random polynomials with ``int`` and ``Fraction`` coefficients are combined
 by ``Poly`` and by ``sympy.expand``, and a seeded sample of conjugation
 identities is rebuilt and expanded in ``sympy`` from the ray matrix alone.
+It is also the oracle for ``lattice.rank`` on seeded integer vector sets.
 ``sympy`` is a test-only dependency."""
 
 import random
@@ -12,6 +13,7 @@ import pytest
 
 from toricroots import demazure_roots, positive_roots, validate_ray_matrix
 from toricroots.coxaction import product, ring_for, root_automorphism
+from toricroots.lattice import rank
 from toricroots.poly import Poly, PolyRing
 
 from oracles import pairing_vector
@@ -121,3 +123,46 @@ def test_conjugation_identities_expand_equal_in_sympy(rows, n):
         pa, pb = ring.param("a"), ring.param("b")
         word = product([root_automorphism(A, r, v, ring) for r, v in ((f, -pb), (e, pa), (f, pb))])
         assert all(same(to_sympy(img, syms), left) for img, left in zip(word.images, lhs))
+
+
+def planted_vectors(rng, width):
+    """Up to ``2 * width + 1`` integer vectors of length ``width``: mostly
+    fresh ones with entries up to 1, 9 or ``10**30`` in size, and zero
+    vectors, repeats, multiples and sums of earlier vectors."""
+    bound = rng.choice([1, 9, 10**30])
+    vectors = []
+    for _ in range(rng.randint(0, 2 * width + 1)):
+        kinds = ["fresh", "zero", "repeat", "multiple", "sum"] if vectors else ["fresh"]
+        kind = rng.choices(kinds, [6, 1, 1, 1, 1][:len(kinds)])[0]
+        if kind == "fresh":
+            v = tuple(rng.randint(-bound, bound) for _ in range(width))
+        elif kind == "zero":
+            v = (0,) * width
+        elif kind == "repeat":
+            v = rng.choice(vectors)
+        elif kind == "multiple":
+            c = rng.choice([-3, -2, 2, 5])
+            v = tuple(c * x for x in rng.choice(vectors))
+        else:
+            v = tuple(map(sum, zip(*rng.sample(vectors, min(len(vectors), rng.randint(2, 3))))))
+        vectors.append(v)
+    return vectors
+
+
+def test_rank_matches_sympy():
+    rng = random.Random(1968)
+    seen = set()
+    for _ in range(600):
+        width = rng.randint(1, 6)
+        vectors = planted_vectors(rng, width)
+        expected = sympy.Matrix(len(vectors), width, [x for v in vectors for x in v]).rank()
+        assert rank(vectors) == expected, vectors
+        huge = any(abs(x) > 10**20 for v in vectors for x in v)
+        seen.add((width, (len(vectors) > width) - (len(vectors) < width),
+                  expected == width, expected == len(vectors), huge))
+    kinds = {k[:4] for k in seen}
+    for width in range(1, 7):  # more vectors than the width, spanning and not
+        assert {(width, 1, True, False), (width, 1, False, False)} <= kinds
+    for width in range(3, 7):  # fewer vectors, independent and not
+        assert {(width, -1, False, True), (width, -1, False, False)} <= kinds
+    assert any(k[4] and not k[2] and not k[3] for k in seen)  # a huge set with a dependency
