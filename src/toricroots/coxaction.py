@@ -16,7 +16,6 @@ polynomial identities rather than sampling them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from math import comb
 from typing import Optional, Sequence, Union
@@ -26,6 +25,7 @@ from .errors import InputError, InvariantViolation
 from .fan import RayMatrix
 from .lattice import IntVector
 from .poly import Poly, PolyRing, Scalar, Substitution, check_degree
+from .record import record
 from .roots import (
     DemazureRoot,
     KIND_ELEMENTARY,
@@ -41,7 +41,7 @@ def ring_for(A: RayMatrix, params: tuple[str, ...] = ("a", "b"), degree_cap: int
     return PolyRing(num_coords=A.m, params=params, degree_cap=degree_cap)
 
 
-@dataclass(frozen=True)
+@record
 class PolyAutomorphism:
     """Substitution endomorphism given by the images of all coordinates."""
 
@@ -189,7 +189,7 @@ def _commutator_matches_bracket(A: RayMatrix, e, f, word: PolyAutomorphism, sign
     return word.images[g.ray].coefficient(mono) == sign * coef
 
 
-@dataclass(frozen=True)
+@record
 class VerificationCheck:
     name: str
     cases: int

@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional
 
@@ -49,6 +48,7 @@ from .errors import (
     InputError,
 )
 from .lattice import IntVector
+from .record import record
 
 #: Default budget of facets that bilateralize checks (normal computed, rays
 #: classified); each facet is checked at most once.
@@ -85,7 +85,7 @@ def _checked_vectors(raw, n, noun: str) -> tuple[int, tuple[IntVector, ...], lis
     return n, vectors, violations
 
 
-@dataclass(frozen=True)
+@record
 class RayMatrix:
     """Ray matrix of a bilateral fan: row ``k`` holds the negated coordinates
     of the ``(n+k)``-th ray in the basis formed by the first ``n`` rays."""
@@ -129,7 +129,7 @@ def validate_ray_matrix(raw: Iterable[Iterable[int]], n: int) -> RayMatrix:
     return RayMatrix.validate(raw, n)
 
 
-@dataclass(frozen=True)
+@record
 class RayList:
     """Primitive ray generators of a fan, in user order."""
 
@@ -147,7 +147,7 @@ class RayList:
         return len(self.rays)
 
 
-@dataclass(frozen=True)
+@record
 class Bilateralization:
     """Witness of bilateral structure.
 

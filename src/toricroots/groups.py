@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import lt
@@ -46,6 +45,7 @@ from .errors import (
 )
 from .fan import RayMatrix
 from .lattice import IntVector
+from .record import record
 from .roots import (
     DemazureRoot,
     KIND_BASIC,
@@ -59,7 +59,7 @@ from .roots import (
 MAX_ENUMERATION_RESULTS = 200_000
 
 
-@dataclass(frozen=True)
+@record
 class RootSet:
     """A set of positive roots of the canonical ray matrix ``matrix``: the
     sorted positions of its roots in ``demazure_roots(matrix).positive``.
@@ -176,7 +176,7 @@ def has_open_orbit(M: RootSet) -> bool:
     return mask & table.basics == table.basics
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationResult:
     """The subgroups as sorted tuples of positions into ``matrix``'s positive roots."""
 
@@ -246,7 +246,7 @@ def enumerate_open_orbit_subgroups(
 # abstract group shapes
 
 
-@dataclass(frozen=True)
+@record
 class AbelianPower:
     """The vector group G_a^d (trivial when d = 0)."""
 
@@ -260,7 +260,7 @@ class AbelianPower:
         return f"G_a^{self.power}"
 
 
-@dataclass(frozen=True)
+@record
 class TriangularBlock:
     """Unitriangular k x k matrices vanishing above the diagonal outside the
     first l rows; the full unitriangular group when l = k - 1."""
@@ -274,7 +274,7 @@ class TriangularBlock:
         return f"U_{{{self.k},{self.l}}}"
 
 
-@dataclass(frozen=True)
+@record
 class Semidirect:
     """Left-nested chain (((f0 |x f1) |x f2) ... ); each prefix acts on the
     next factor, so the innermost factor acts on everything after it."""
@@ -289,7 +289,7 @@ class Semidirect:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class DirectProduct:
     factors: tuple["GroupShape", ...]
 
@@ -320,7 +320,7 @@ def _chain(factors: Sequence[GroupShape]) -> GroupShape:
     return factors[0] if len(factors) == 1 else Semidirect(tuple(factors))
 
 
-@dataclass(frozen=True)
+@record
 class UmaxReport:
     """Shape of the maximal unipotent subgroup.
 
@@ -344,7 +344,7 @@ def umax_shape(A: RayMatrix) -> UmaxReport:
                       classes=pre.classes, block_sizes=sizes)
 
 
-@dataclass(frozen=True)
+@record
 class UssReport:
     """Maximal unipotent subgroup of the reductive part: a direct product of
     one unitriangular group per column class, plus the number of simple
@@ -380,7 +380,7 @@ def uss_shape(A: RayMatrix) -> UssReport:
 # centers, root graph, series
 
 
-@dataclass(frozen=True)
+@record
 class CenterReport:
     indices: tuple[int, ...]
     roots: RootSet
@@ -415,7 +415,7 @@ def _center_indices(n: int, roots: Sequence[DemazureRoot]) -> tuple[int, ...]:
     return tuple(i for i in range(n) if all(r.coords[i] <= 0 for r in roots))
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
     source: DemazureRoot
     target: DemazureRoot
@@ -426,7 +426,7 @@ class Arrow:
         return self.source.ray == self.target.ray
 
 
-@dataclass(frozen=True)
+@record
 class RootGraph:
     vertices: tuple[DemazureRoot, ...]
     arrows: tuple[Arrow, ...]
@@ -454,7 +454,7 @@ def _graph(M: RootSet) -> list[tuple[int, int, int]]:
     return edges
 
 
-@dataclass(frozen=True)
+@record
 class SeriesReport:
     lower: tuple[RootSet, ...]
     upper: tuple[RootSet, ...]
@@ -511,7 +511,7 @@ def variety_type(A: RayMatrix) -> str:
     return TYPE_II if any(_sum_triples(table)) else TYPE_I
 
 
-@dataclass(frozen=True)
+@record
 class SplitReport:
     b: int
     remaining: Optional[RayMatrix]

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from .record import record
 
 _escape = json.encoder.encode_basestring_ascii  # C, where the stdlib has it
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _flatten = itertools.chain.from_iterable
 
 
-@dataclass(frozen=True)
+@record
 class Rows:
     """A list with one dict per tuple of ``members``: ``size_key`` maps to
     the tuple's length, and each key of ``columns`` to the list of that

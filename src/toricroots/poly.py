@@ -15,12 +15,12 @@ are checked against the cap before they are formed, so no field carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .errors import DegreeCapError, InputError
+from .record import record
 
 if TYPE_CHECKING:  # imported where a Fraction is built
     from fractions import Fraction
@@ -48,7 +48,7 @@ def check_degree(ring: "PolyRing", degree: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class PolyRing:
     """Fixed variable layout: ``num_coords`` coordinates then named parameters."""
 

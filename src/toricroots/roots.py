@@ -31,7 +31,6 @@ library; the CLI serializers shift them to 1-based for reports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import add, attrgetter
@@ -40,6 +39,7 @@ from typing import Iterator, Optional, Sequence
 from .errors import CapExceededError, InputError, InvariantViolation, NotCanonicalError
 from .fan import RayMatrix
 from .lattice import IntVector
+from .record import record
 
 KIND_BASIC = "basic"
 KIND_ELEMENTARY = "elementary"
@@ -52,7 +52,7 @@ _coords = attrgetter("coords")
 MAX_ROOTS = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class DemazureRoot:
     """A single Demazure root: dual-basis coordinates plus classification."""
 
@@ -81,7 +81,7 @@ def display(coords: Sequence[int]) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-@dataclass(frozen=True)
+@record
 class RootSystem:
     """All Demazure roots of a ray matrix, grouped by ray, and the one table
     of its positive roots.
@@ -262,7 +262,7 @@ def demazure_roots(A: RayMatrix) -> RootSystem:
     return RootSystem(matrix=A, roots=tuple(roots[d:] + roots[:d]), by_ray=tuple(by_ray))
 
 
-@dataclass(frozen=True)
+@record
 class ColumnPreorder:
     """Entrywise preorder on the columns of a ray matrix.
 

@@ -16,20 +16,20 @@ rotation and reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import groups, lattice, roots
 from .errors import CapExceededError, InputError, InvariantViolation, NotRadiantError
 from .fan import RayList, RayMatrix, angle_less, bilateralize
 from .groups import EnumerationResult, GroupShape, RootSet
+from .record import record
 
 #: Cap on the number of sequences ``enumerate_smooth_surfaces`` lists
 #: (44 672 for ``max_m = 12``).
 MAX_SURFACE_SEQUENCES = 50_000
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceSequence:
     """Cyclic self-intersection data ``(c_1,...,c_m)``, m >= 3."""
 
@@ -164,7 +164,7 @@ def enumerate_smooth_surfaces(max_m: int, max_q: Optional[int] = None) -> tuple[
     )
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceReport:
     sequence: SurfaceSequence
     matrix: RayMatrix  # canonical column order

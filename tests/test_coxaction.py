@@ -1,7 +1,6 @@
 import gc
 import random
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,7 @@ from toricroots.coxaction import (
 )
 from toricroots.groups import RootSet, saturation_closure
 from toricroots.poly import Poly, PolyRing
-from toricroots.roots import column_preorder
+from toricroots.roots import DemazureRoot, column_preorder
 
 from conftest import projective_space, random_ray_matrices, satisfies_canonical_condition
 from oracles import dense_unitriangular_product, termwise_substitute
@@ -115,7 +114,7 @@ def test_rejects_positive_forms_that_are_not_positive_roots_of_the_matrix(p123, 
     root = find(p123, (-1, 1, 1))
     for ray in range(1, p123.m):
         with pytest.raises(InputError, match="not a positive root"):
-            use(p123, replace(root, ray=ray))
+            use(p123, DemazureRoot(ray, root.coords, root.kind, root.semisimple))
 
 
 @positive_root_users

@@ -33,26 +33,34 @@ EXPORTS = [
 COMMAND_MODULES = ["fractions", "toricroots.coxaction", "toricroots.liealg",
                    "toricroots.poly", "toricroots.surfaces"]
 
+#: Modules that no command loads: ``dataclasses`` alone pulls in ``inspect``
+#: and ten more, about a third of a fresh process's set-up.
+NEVER_LOADED = ["dataclasses", "inspect"]
+
 #: Run in a fresh interpreter: which of ``COMMAND_MODULES`` (and, after the
 #: bare package import, which package modules) are loaded after each step,
-#: and whether the parser of all commands was built.
+#: which of ``NEVER_LOADED`` are loaded after ``import toricroots.cli`` and
+#: after each command, and whether the parser of all commands was built.
 PROBE = """
 import contextlib, io, json, sys
 
-WATCHED = %r
+WATCHED, NEVER = %r, %r
 steps = {}
 import toricroots
 steps["package"] = sorted(m for m in sys.modules if m.startswith("toricroots."))
 import toricroots.cli
 steps["cli"] = [m for m in WATCHED if m in sys.modules]
+loaded = {"cli": [m for m in NEVER if m in sys.modules]}
 for argv in (["roots", "--ray-matrix", "2 1"], ["verify", "--ray-matrix", "2 1"],
              ["surface", "--sequence=0,2,0,-2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = toricroots.cli.main(argv)
     steps[argv[0]] = [code] + [m for m in WATCHED if m in sys.modules]
+    loaded[argv[0]] = [m for m in NEVER if m in sys.modules]
+steps["never loaded"] = loaded
 steps["whole parser built"] = toricroots.cli.build_parser.cache_info().currsize
 print(json.dumps(steps))
-""" % COMMAND_MODULES
+""" % (COMMAND_MODULES, NEVER_LOADED)
 
 
 def fresh(code: str) -> str:
@@ -72,6 +80,7 @@ def test_each_command_loads_only_the_modules_it_runs():
     assert steps["verify"] == [0, "toricroots.coxaction", "toricroots.liealg", "toricroots.poly"]
     assert steps["surface"] == [0] + COMMAND_MODULES[1:]
     assert steps["whole parser built"] == 0  # each command's own parser sufficed
+    assert steps["never loaded"] == {"cli": [], "roots": [], "verify": [], "surface": []}
 
 
 def test_the_exports_are_the_defining_modules_objects():
